@@ -265,6 +265,8 @@ class _GramStore:
 
     The computation counter backs the reuse contract: every C value and,
     for RNN kernels, both CK and NTK selectors share one computation.
+    Only the current context's Grams are kept: run_protocol finishes the
+    validation phase, then each fold, in turn, and never returns to one.
     """
 
     def __init__(self, grid: HyperGrid, T: int, threads):
@@ -272,14 +274,17 @@ class _GramStore:
         self.T = T
         self.threads = threads
         self.computations = 0
+        self._context = None
         self._cache = {}
 
     def get(self, context, spec, train_X, test_X):
-        key = (context, spec)
-        if key not in self._cache:
-            self._cache[key] = self._compute(spec, train_X, test_X)
+        if context != self._context:
+            self._cache.clear()
+            self._context = context
+        if spec not in self._cache:
+            self._cache[spec] = self._compute(spec, train_X, test_X)
             self.computations += 1
-        return self._cache[key]
+        return self._cache[spec]
 
     def _compute(self, spec, train_X, test_X):
         if isinstance(spec, RNNKernelSpec):
@@ -347,9 +352,17 @@ class ProtocolResult:
 
 
 def _evaluate_config(store, context, spec, selector, C, train_X, test_X,
-                     train_labels, label_set):
+                     train_labels, label_set, last_models):
+    """Train and predict one configuration.
+
+    last_models maps (spec, selector) to the model last trained on that
+    Gram in this context; it seeds the fit (train_multiclass uses it only
+    when its C is no larger) and is then replaced by the new model.
+    """
     K, cross = store.get(context, spec, train_X, test_X)[selector]
-    model = train_multiclass(K, train_labels, C=C, label_set=label_set)
+    model = train_multiclass(K, train_labels, C=C, label_set=label_set,
+                             warm_start=last_models.get((spec, selector)))
+    last_models[(spec, selector)] = model
     return predict(model, cross)
 
 
@@ -391,12 +404,15 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
     tr_y, val_y = dataset.labels[tr_idx], dataset.labels[val_idx]
 
     config_acc = {}
+    # a (spec, selector) runs its C values in C_set order, so with the
+    # ascending default each fit starts from the solution at the previous C
+    last_models = {}
 
     def validation_accuracy(spec, selector, C):
         key = (spec, selector, C)
         if key not in config_acc:
             pred = _evaluate_config(store, "validation", spec, selector, C,
-                                    tr_X, val_X, tr_y, label_set)
+                                    tr_X, val_X, tr_y, label_set, last_models)
             config_acc[key] = float(np.mean(pred == val_y))
         return config_acc[key]
 
@@ -418,11 +434,13 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
         fit_y, te_y = dataset.labels[fit_idx], dataset.labels[fold]
         context = ("fold", k)
         fold_preds = {}
+        last_models = {}
 
         def fold_prediction(cfg):
             if cfg not in fold_preds:
                 fold_preds[cfg] = _evaluate_config(
-                    store, context, *cfg, fit_X, te_X, fit_y, label_set)
+                    store, context, *cfg, fit_X, te_X, fit_y, label_set,
+                    last_models)
             return fold_preds[cfg]
 
         for method in grid.methods:

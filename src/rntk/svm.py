@@ -2,19 +2,18 @@
 
 Solves min 1/2 a'Qa - sum(a) over 0 <= a <= C, y'a = 0 with Q = yy' * K,
 using maximal-violating-pair working-set selection. Grams are consumed as
-dense matrices; no kernel evaluations happen here. A slow projected
-gradient solver for the same dual is included as an independent reference
-for testing.
+dense matrices; no kernel evaluations happen here. A fit can start from a
+model trained at a smaller C on the same Gram (alpha seeding along the C
+path): its solution stays feasible because the box only grows.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -88,34 +87,51 @@ def _check_gram(gram) -> np.ndarray:
     K = np.asarray(gram, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ShapeError(f"gram must be square, got shape {K.shape}")
-    if not np.allclose(K, K.T, rtol=1e-10, atol=1e-12):
+    # the exact comparison is a fast path for the common, exactly symmetric case
+    if not (np.array_equal(K, K.T) or np.allclose(K, K.T, rtol=1e-10, atol=1e-12)):
         raise ShapeError("gram must be symmetric")
     return K
 
 
-def _smo_loop(K, y, C, tol, max_iter):
-    """Core SMO iteration. Returns (alpha, bias, iterations, converged)."""
-    N = K.shape[0]
-    Q = K * np.outer(y, y)
-    alpha = np.zeros(N)
-    G = -np.ones(N)
-    for it in range(max_iter):
-        F = -y * G
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
-        m = np.where(up, F, -np.inf).max()
-        M = np.where(low, F, np.inf).min()
-        if m - M <= tol:
-            return alpha, _bias(F, y, alpha, C, m, M), it, True
-        i = int(np.where(up, F, -np.inf).argmax())
-        j = int(np.where(low, F, np.inf).argmin())
+def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
+    """Core SMO iteration. Returns (alpha, bias, iterations, converged).
 
-        quad = Q[i, i] + Q[j, j] - 2.0 * y[i] * y[j] * Q[i, j]
+    alpha0, if given, is a feasible starting point (0 <= a <= C, y'a = 0);
+    the gradient is then computed once from its support. The loop keeps
+    F = -y * G itself and updates it with the rows P[k] = -y * Q[:, k],
+    which for y = +/-1 is bit for bit the update of G, and it changes only
+    entries i and j of the index sets each step.
+    """
+    N = K.shape[0]
+    P = np.multiply(K.T, -y[:, None], order="C")
+    a0 = np.zeros(N) if alpha0 is None else np.array(alpha0, dtype=np.float64)
+    support = np.flatnonzero(a0)
+    F = y + a0[support] @ P[support]
+    pos = y > 0
+    up = np.where(pos, a0 < C, a0 > 0)
+    low = np.where(pos, a0 > 0, a0 < C)
+    alpha = a0.tolist()
+    ys = y.tolist()
+    diag = K.diagonal().tolist()
+    for it in range(max_iter):
+        F_up = np.where(up, F, -np.inf)
+        i = int(F_up.argmax())
+        F_low = np.where(low, F, np.inf)
+        j = int(F_low.argmin())
+        m, M = F_up[i], F_low[j]
+        if m - M <= tol:
+            alpha = np.array(alpha)
+            return alpha, _bias(F, y, alpha, C, m, M), it, True
+
+        # y_i y_j Q_ij = K_ij and Q_ii = K_ii exactly, since y = +/-1
+        quad = diag[i] + diag[j] - 2.0 * K.item(i, j)
         if quad <= 0.0:
             quad = _TAU
+        yi, yj = ys[i], ys[j]
         old_i, old_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            delta = (-G[i] - G[j]) / quad
+        # G_i = -y_i F_i, and F_i = m, F_j = M
+        if yi != yj:
+            delta = (yi * m + yj * M) / quad
             diff = old_i - old_j
             ai, aj = old_i + delta, old_j + delta
             if diff > 0.0:
@@ -131,7 +147,7 @@ def _smo_loop(K, y, C, tol, max_iter):
                 if aj > C:
                     aj, ai = C, C + diff
         else:
-            delta = (G[i] - G[j]) / quad
+            delta = (yj * M - yi * m) / quad
             total = old_i + old_j
             ai, aj = old_i - delta, old_j + delta
             if total > C:
@@ -145,8 +161,12 @@ def _smo_loop(K, y, C, tol, max_iter):
                 if ai < 0.0:
                     ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
-        G += Q[:, i] * (ai - old_i) + Q[:, j] * (aj - old_j)
-    return alpha, 0.0, max_iter, False
+        F += P[i] * (ai - old_i) + P[j] * (aj - old_j)
+        up[i] = ai < C if yi > 0 else ai > 0.0
+        low[i] = ai > 0.0 if yi > 0 else ai < C
+        up[j] = aj < C if yj > 0 else aj > 0.0
+        low[j] = aj > 0.0 if yj > 0 else aj < C
+    return np.array(alpha), 0.0, max_iter, False
 
 
 def _bias(F, y, alpha, C, m, M):
@@ -165,13 +185,16 @@ def _build_model(alpha, y, bias, C, class_pair) -> DualModel:
 
 
 def smo_train(gram, labels, C: float, tol: float = 1e-3,
-              max_iter: int = 10_000_000, class_pair: tuple = (1, -1)) -> DualModel:
+              max_iter: int = 10_000_000, class_pair: tuple = (1, -1),
+              alpha0=None) -> DualModel:
     """Train one binary C-SVM on a precomputed Gram matrix.
 
-    labels must be the +/-1 encoding with both signs present. If the
+    labels must be the +/-1 encoding with both signs present. alpha0
+    optionally gives unsigned starting alphas, feasible for this C (in
+    [0, C] with y'a = 0), such as the solution at a smaller C. If the
     solver stalls and the Gram has an eigenvalue below the accepted
     roundoff band, it warns, adds |lambda_min| to the diagonal, and
-    retries once before giving up.
+    retries once from the same start before giving up.
     """
     K = _check_gram(gram)
     y = np.asarray(labels, dtype=np.float64)
@@ -183,8 +206,16 @@ def smo_train(gram, labels, C: float, tol: float = 1e-3,
         raise DegenerateProblemError("training labels contain a single class")
     if not (C > 0):
         raise ValueError("C must be positive")
+    if alpha0 is not None:
+        alpha0 = np.asarray(alpha0, dtype=np.float64)
+        if alpha0.shape != y.shape:
+            raise ShapeError("alpha0 must be a vector matching the gram size")
+        if np.any(alpha0 < 0.0) or np.any(alpha0 > C):
+            raise ValueError("alpha0 lies outside the box [0, C]")
+        if abs(float(y @ alpha0)) > 1e-8 * max(1.0, C):
+            raise ValueError("alpha0 violates the equality constraint y'a = 0")
 
-    alpha, bias, iters, converged = _smo_loop(K, y, C, tol, max_iter)
+    alpha, bias, iters, converged = _smo_loop(K, y, C, tol, max_iter, alpha0)
     if not converged:
         N = K.shape[0]
         lam_min = float(np.linalg.eigvalsh(K)[0])
@@ -194,7 +225,8 @@ def smo_train(gram, labels, C: float, tol: float = 1e-3,
                 f"gram is not PSD (min eigenvalue {lam_min:.3e}); retrying with "
                 f"diagonal jitter {abs(lam_min):.3e}", RuntimeWarning)
             jittered = K + abs(lam_min) * np.eye(N)
-            alpha, bias, iters, converged = _smo_loop(jittered, y, C, tol, max_iter)
+            alpha, bias, iters, converged = _smo_loop(jittered, y, C, tol, max_iter,
+                                                      alpha0)
         if not converged:
             raise ConvergenceError(
                 f"SMO did not converge within {max_iter} iterations (tol {tol})")
@@ -202,19 +234,28 @@ def smo_train(gram, labels, C: float, tol: float = 1e-3,
 
 
 def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
-                     max_iter: int = 10_000_000,
-                     label_set=None) -> MultiClassModel:
+                     max_iter: int = 10_000_000, label_set=None,
+                     warm_start: Optional[MultiClassModel] = None) -> MultiClassModel:
     """Train one-vs-one binary models for every unordered label pair.
 
     label_set widens the pair list beyond the labels present in this
     training split; pairs involving an absent class fall back to a
     constant vote for the majority training class (and are logged). The
     smaller label of each pair is mapped to +1.
+
+    warm_start is a model trained earlier on the same gram and labels.
+    Each pair whose model there is a DualModel with C no larger than this
+    C starts SMO from that model's alphas; any other pair starts at zero.
     """
     K = _check_gram(gram)
     lab = np.asarray(labels)
     if lab.shape != (K.shape[0],):
         raise ShapeError("labels must be a vector matching the gram size")
+    seeds = {}
+    if warm_start is not None:
+        if warm_start.n_train != K.shape[0]:
+            raise ShapeError("warm_start was trained on a gram of another size")
+        seeds = {m.class_pair: m for m in warm_start.models}
     present = np.unique(lab)
     full = present if label_set is None else np.unique(np.asarray(label_set))
     if full.size < 2:
@@ -234,7 +275,17 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
             continue
         sub = K[np.ix_(idx, idx)]
         y = np.where(lab[idx] == a, 1.0, -1.0)
-        pair_model = smo_train(sub, y, C, tol, max_iter, class_pair=(a, b))
+        seed = seeds.get((a, b))
+        alpha0 = None
+        if isinstance(seed, DualModel) and seed.C <= C:
+            if not np.isin(seed.support_indices, idx).all():
+                raise ValueError(f"warm_start pair ({a}, {b}) has support vectors "
+                                 "outside the pair: trained on other labels")
+            pos = np.searchsorted(idx, seed.support_indices)
+            alpha0 = np.zeros(idx.size)
+            alpha0[pos] = seed.alphas * y[pos]
+        pair_model = smo_train(sub, y, C, tol, max_iter, class_pair=(a, b),
+                               alpha0=alpha0)
         models.append(DualModel(
             support_indices=idx[pair_model.support_indices],
             alphas=pair_model.alphas, bias=pair_model.bias,
@@ -278,70 +329,3 @@ def predict(model: MultiClassModel, cross) -> np.ndarray:
     # labels are sorted ascending, so argmax resolves ties to the smallest
     winners = np.argmax(votes, axis=1)
     return np.asarray(labels, dtype=np.int64)[winners]
-
-
-def dual_objective(gram, labels, alpha) -> float:
-    """Value of the dual 1/2 a'Qa - sum(a) for unsigned alphas."""
-    y = np.asarray(labels, dtype=np.float64)
-    a = np.asarray(alpha, dtype=np.float64)
-    Qa = (np.asarray(gram) * np.outer(y, y)) @ a
-    return float(0.5 * a @ Qa - a.sum())
-
-
-def _project_box_hyperplane(v, y, C):
-    """Project v onto {0 <= a <= C, y'a = 0} by bisecting the multiplier."""
-
-    def constraint(lam):
-        return float(y @ np.clip(v - lam * y, 0.0, C))
-
-    span = C + float(np.abs(v).max(initial=0.0)) + 1.0
-    lo, hi = -span, span
-    # h(lam) is continuous and nonincreasing; 200 halvings reach roundoff
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi) * y, 0.0, C)
-
-
-def projected_gradient_reference(gram, labels, C: float, tol: float = 1e-10,
-                                 max_iter: int = 500_000):
-    """Slow reference solver for the same dual, for cross-checking SMO.
-
-    Accelerated projected gradient with restart on objective increase,
-    cold-started at zero, run until the projected-gradient residual drops
-    below tol. Returns (alpha, objective).
-    """
-    K = _check_gram(gram)
-    y = np.asarray(labels, dtype=np.float64)
-    Q = K * np.outer(y, y)
-    lip = max(float(np.linalg.eigvalsh(Q)[-1]), _TAU)
-    step = 1.0 / lip
-    N = K.shape[0]
-    alpha = np.zeros(N)
-    look = alpha.copy()
-    t_prev = 1.0
-    obj_prev = 0.0
-    for _ in range(max_iter):
-        grad_look = Q @ look - 1.0
-        nxt = _project_box_hyperplane(look - step * grad_look, y, C)
-        obj = float(0.5 * nxt @ (Q @ nxt) - nxt.sum())
-        if obj > obj_prev and t_prev > 1.0:
-            # overshoot from momentum: restart from the last iterate, where
-            # a plain projected step is guaranteed not to increase f
-            look = alpha.copy()
-            t_prev = 1.0
-            continue
-        # optimality is measured at the iterate itself, not the lookahead
-        grad = Q @ nxt - 1.0
-        residual = float(np.linalg.norm(
-            nxt - _project_box_hyperplane(nxt - step * grad, y, C)))
-        if residual <= tol * max(1.0, float(np.linalg.norm(nxt))):
-            return nxt, obj
-        t = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-        look = nxt + ((t_prev - 1.0) / t) * (nxt - alpha)
-        alpha, t_prev, obj_prev = nxt, t, obj
-    raise ConvergenceError(
-        f"projected gradient did not reach tol {tol} in {max_iter} iterations")

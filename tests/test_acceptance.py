@@ -36,12 +36,8 @@ from rntk import (
     vphi_prime,
 )
 from rntk.bench import HyperGrid, load_dataset, run_protocol, run_suite
-from rntk.svm import (
-    decision_function,
-    dual_objective,
-    projected_gradient_reference,
-    smo_train,
-)
+from rntk.svm import decision_function, smo_train
+from svm_reference import dual_objective, projected_gradient_reference
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "datasets"
 ARCHS = (Arch.RNN, Arch.BI_RNN, Arch.RNN_AVG, Arch.BI_RNN_AVG)

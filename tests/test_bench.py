@@ -214,6 +214,9 @@ def test_gram_store_reuse_counter():
     assert first["ntk"][0] is not first["ck"][0]
     store.get(("fold", 0), spec, X, Y)
     assert store.computations == 2
+    # a new context drops the previous context's Grams
+    assert list(store._cache) == [spec]
+    assert store._cache[spec]["ck"][0] is not first["ck"][0]
 
 
 def test_protocol_deterministic_and_counted():

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rntk import ShapeError
+from rntk import ShapeError, svm
 from rntk.svm import (
     ConstantVote,
     ConvergenceError,
@@ -11,12 +11,11 @@ from rntk.svm import (
     DualModel,
     MultiClassModel,
     decision_function,
-    dual_objective,
     predict,
-    projected_gradient_reference,
     smo_train,
     train_multiclass,
 )
+from svm_reference import dual_objective, projected_gradient_reference, reference_smo_loop
 
 
 def rbf_gram(X, gamma=0.5):
@@ -124,6 +123,16 @@ def test_input_validation():
         smo_train(np.eye(2), [1.0, -1.0], C=0.0)
     with pytest.raises(ShapeError):
         smo_train(np.eye(2), [1.0, -1.0, 1.0], C=1.0)
+    # asymmetry inside the roundoff tolerance is accepted
+    near = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
+    assert isinstance(smo_train(near, [1.0, -1.0], C=1.0), DualModel)
+    # a starting point must be feasible for this C
+    with pytest.raises(ValueError, match="box"):
+        smo_train(np.eye(2), [1.0, -1.0], C=1.0, alpha0=[2.0, 2.0])
+    with pytest.raises(ValueError, match="equality"):
+        smo_train(np.eye(2), [1.0, -1.0], C=1.0, alpha0=[0.5, 0.0])
+    with pytest.raises(ShapeError):
+        smo_train(np.eye(2), [1.0, -1.0], C=1.0, alpha0=[0.5, 0.5, 0.0])
 
 
 def test_dual_model_invariants_enforced():
@@ -220,3 +229,116 @@ def test_decision_function_matches_manual():
     model = smo_train(gram, y, C=1.0)
     manual = gram[:3][:, model.support_indices] @ model.alphas + model.bias
     assert np.allclose(decision_function(model, gram[:3]), manual)
+
+
+def kkt_gap(gram, y, alpha, C):
+    """m - M of the dual at alpha, from a gradient computed afresh."""
+    F = -y * ((gram * np.outer(y, y)) @ alpha - 1.0)
+    up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
+    low = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+    return float(F[up].max() - F[low].min())
+
+
+def record_seeds(monkeypatch):
+    """Make train_multiclass report whether each pair fit got a start point."""
+    seeded = []
+    inner = svm.smo_train
+
+    def spy(*args, alpha0=None, **kwargs):
+        seeded.append(alpha0 is not None)
+        return inner(*args, alpha0=alpha0, **kwargs)
+
+    monkeypatch.setattr(svm, "smo_train", spy)
+    return seeded
+
+
+def test_lean_loop_matches_reference_bit_for_bit():
+    for seed in range(61, 67):
+        gram, y = random_problem(seed, n=40)
+        for C in (0.05, 1.0, 50.0):
+            ref = reference_smo_loop(gram, y, C, 1e-3, 100_000)
+            alpha, bias, iters, converged = svm._smo_loop(gram, y, C, 1e-3, 100_000)
+            # some alphas sit at C, so the clipped steps are exercised
+            assert np.any(ref[0] == C)
+            assert converged and ref[3]
+            assert np.array_equal(alpha, ref[0])
+            assert bias == ref[1] and iters == ref[2]
+
+
+def pair_problem(model, pair, gram, labels):
+    """The binary subproblem of one pair model and its unsigned alphas."""
+    a, b = pair.class_pair
+    idx = np.flatnonzero((labels == a) | (labels == b))
+    y = np.where(labels[idx] == a, 1.0, -1.0)
+    alpha = np.zeros(idx.size)
+    pos = np.searchsorted(idx, pair.support_indices)
+    alpha[pos] = np.abs(pair.alphas)
+    return gram[np.ix_(idx, idx)], y, alpha
+
+
+def test_warm_started_c_path_matches_reference(monkeypatch):
+    rng = np.random.default_rng(71)
+    X = rng.standard_normal((30, 3))
+    labels = np.repeat([0, 1, 2], 10)
+    X += labels[:, None] * 0.8
+    gram = rbf_gram(X)
+    tol = 1e-8
+    seeded = record_seeds(monkeypatch)
+    model = None
+    # from every alpha at the bound to a few free ones
+    for C in (0.1, 0.3, 1.0, 3.0):
+        model = train_multiclass(gram, labels, C=C, tol=tol, warm_start=model)
+        for pair in model.models:
+            sub, y, alpha = pair_problem(model, pair, gram, labels)
+            obj = dual_objective(sub, y, alpha)
+            _, obj_ref = projected_gradient_reference(sub, y, C=C, tol=1e-10)
+            assert abs(obj - obj_ref) <= 1e-6 * max(1.0, abs(obj_ref))
+            assert kkt_gap(sub, y, alpha, C) <= tol
+    # the first C starts cold, every later one from the previous solution
+    assert seeded == [False] * 3 + [True] * 9
+
+
+def test_warm_start_without_bound_alphas_keeps_the_solution(monkeypatch):
+    rng = np.random.default_rng(73)
+    X = rng.standard_normal((24, 2)) * 0.4
+    labels = np.arange(24) % 2
+    X[:, 0] += np.where(labels == 0, 3.0, -3.0)
+    gram = rbf_gram(X, gamma=0.2)
+    first = train_multiclass(gram, labels, C=1e4)
+    assert np.abs(first.models[0].alphas).max() < 1e4
+    seeded = record_seeds(monkeypatch)
+    second = train_multiclass(gram, labels, C=1e6, warm_start=first)
+    assert seeded == [True]
+    old, new = first.models[0], second.models[0]
+    assert np.array_equal(new.support_indices, old.support_indices)
+    assert np.array_equal(new.alphas, old.alphas)
+    # the start recomputes the gradient, so the bias matches to roundoff
+    assert new.bias == pytest.approx(old.bias, rel=1e-12, abs=1e-12)
+    assert new.C == 1e6
+
+
+def test_warm_start_from_larger_c_is_ignored(monkeypatch):
+    rng = np.random.default_rng(75)
+    X = rng.standard_normal((30, 3))
+    labels = np.repeat([0, 1, 2], 10)
+    gram = rbf_gram(X)
+    larger = train_multiclass(gram, labels, C=10.0)
+    seeded = record_seeds(monkeypatch)
+    warm = train_multiclass(gram, labels, C=1.0, warm_start=larger)
+    assert seeded == [False] * 3
+    cold = train_multiclass(gram, labels, C=1.0)
+    for w, c in zip(warm.models, cold.models):
+        assert np.array_equal(w.support_indices, c.support_indices)
+        assert np.array_equal(w.alphas, c.alphas)
+        assert w.bias == c.bias
+
+
+def test_warm_start_from_another_problem_rejected():
+    gram, y = random_problem(77, n=12)
+    labels = (y > 0).astype(int)
+    model = train_multiclass(gram, labels, C=1.0)
+    with pytest.raises(ShapeError):
+        train_multiclass(gram[:10, :10], labels[:10], C=2.0, warm_start=model)
+    # the same rows with the classes swapped: the seed's signs do not fit
+    with pytest.raises(ValueError, match="box"):
+        train_multiclass(gram, 1 - labels, C=2.0, warm_start=model)
