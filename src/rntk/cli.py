@@ -81,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output scale; default derives from the variant")
     g.add_argument("--format", choices=["binary", "csv"], default="binary")
     g.add_argument("--tile-pairs", type=_positive_int, default=None,
-                   help="pairs per computation tile")
+                   help="pairs per square block (edge: its integer square root; "
+                        "default 65536, i.e. 256 x 256)")
     g.add_argument("--threads", type=_positive_int, default=None)
 
     v = sub.add_parser("verify", help="compare analytic kernels to sampled networks")

@@ -7,8 +7,8 @@ then N*M little-endian float64 values in row-major order.
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -56,27 +56,34 @@ def write_gram(path, matrix: np.ndarray, kind: int, variant: Variant) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(VERSION, n, m, kind, variant_code(variant), 0))
-        fh.write(np.ascontiguousarray(mat).astype("<f8", copy=False).tobytes())
+        # written from the array's own buffer, without a bytes copy of it
+        fh.write(np.ascontiguousarray(mat).astype("<f8", copy=False).data)
 
 
 def read_gram(path) -> tuple[np.ndarray, int, Variant]:
-    """Read a binary Gram file; returns (matrix, kind, variant)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + _HEADER.size:
-        raise GramFormatError(f"{path}: truncated header")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise GramFormatError(f"{path}: bad magic bytes")
-    version, n, m, kind, vcode, _ = _HEADER.unpack_from(raw, len(MAGIC))
-    if version != VERSION:
-        raise GramFormatError(f"{path}: unsupported version {version}")
-    if kind not in (KIND_CK, KIND_NTK):
-        raise GramFormatError(f"{path}: unknown kind {kind}")
+    """Read a binary Gram file; returns (matrix, kind, variant).
+
+    The header and the file size are checked first, then the payload is
+    read once, straight into the returned matrix.
+    """
     start = len(MAGIC) + _HEADER.size
-    expected = n * m * 8
-    if len(raw) != start + expected:
-        raise GramFormatError(
-            f"{path}: payload is {len(raw) - start} bytes, expected {expected}")
-    mat = np.frombuffer(raw, dtype="<f8", offset=start).reshape(n, m).copy()
+    with open(path, "rb") as fh:
+        head = fh.read(start)
+        if len(head) < start:
+            raise GramFormatError(f"{path}: truncated header")
+        if head[: len(MAGIC)] != MAGIC:
+            raise GramFormatError(f"{path}: bad magic bytes")
+        version, n, m, kind, vcode, _ = _HEADER.unpack_from(head, len(MAGIC))
+        if version != VERSION:
+            raise GramFormatError(f"{path}: unsupported version {version}")
+        if kind not in (KIND_CK, KIND_NTK):
+            raise GramFormatError(f"{path}: unknown kind {kind}")
+        expected = n * m * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != start + expected:
+            raise GramFormatError(
+                f"{path}: payload is {size - start} bytes, expected {expected}")
+        mat = np.fromfile(fh, dtype="<f8", count=n * m).reshape(n, m)
     return mat, kind, variant_from_code(vcode)
 
 

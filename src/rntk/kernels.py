@@ -8,9 +8,11 @@ layer-and-time covariance recursion whose only nonlinearity-dependent
 primitive is the arc-cosine expectation ``vphi`` and its derivative form
 ``vphi_prime``.
 
-All entries of a Gram matrix are independent scalar recursions, so the
-batched implementation processes pairs of rows in tiles; tiles write to
-disjoint output regions and may run concurrently.
+All entries of a Gram matrix are independent scalar recursions. The batched
+engine runs them on square blocks of row pairs with 3L + 6 buffers updated in
+place, each block writing straight into its part of the outputs, so blocks may
+run concurrently. Self variances are computed once per row (O(N*T*L)). Memory
+is the outputs, those trajectories and one buffer set per running block.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 _INV_2PI = 0.5 / np.pi
 
-# Default number of pairs per work tile (256 x 256 block of a Gram matrix).
+# Default number of pairs per work block (a 256 x 256 block of a Gram matrix).
 TILE_PAIRS = 256 * 256
 
 
@@ -138,27 +140,54 @@ class Cov2:
             raise ValueError("variances k1, k2 must be nonnegative")
 
 
-def _vphi_arrays(k1, k2, k3):
-    """Elementwise (vphi, vphi_prime) for arrays of 2x2 covariances.
+def _workspace(shape):
+    """Scratch arrays of `_vphi_into`: three float and one boolean."""
+    return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
-    The correlation is clamped to [-1, 1] before acos/sqrt so that rounding
+
+def _vphi_into(k1, k2, k3, vp, vpp, work):
+    """Elementwise (vphi, vphi_prime) of 2x2 covariances, written into vp, vpp.
+
+    k1 and k2 broadcast against k3; `work` is `_workspace(k3.shape)`. The
+    correlation is clamped to [-1, 1] before acos/sqrt so that rounding
     drift cannot produce NaN. Zero-variance entries (k1*k2 == 0) get the
     c = 0 limit: vphi = 0, vphi_prime = 1/4.
     """
-    q = np.sqrt(k1 * k2)
-    c = np.divide(k3, q, out=np.zeros_like(q), where=q > 0)
+    q, c, w, eq = work
+    np.multiply(k1, k2, out=q)
+    np.sqrt(q, out=q)
+    if q.min() > 0.0:
+        np.divide(k3, q, out=c)
+    else:
+        c.fill(0.0)
+        np.divide(k3, q, out=c, where=q > 0)
     np.clip(c, -1.0, 1.0, out=c)
-    ang = np.pi - np.arccos(c)
-    vp = (c * ang + np.sqrt(1.0 - c * c)) * q * _INV_2PI
-    vpp = ang * _INV_2PI
+    ang = np.arccos(c, out=vpp)
+    np.subtract(np.pi, ang, out=ang)
+    # vp = (c * ang + sqrt(1 - c * c)) * q / (2 pi), in this order
+    np.multiply(c, ang, out=vp)
+    np.multiply(c, c, out=w)
+    np.subtract(1.0, w, out=w)
+    np.sqrt(w, out=w)
+    vp += w
+    vp *= q
+    vp *= _INV_2PI
+    vpp *= _INV_2PI
     # Identical streams must pin the c = 1 limit exactly: acos has an
     # unbounded derivative there, so letting rounding decide c would make
     # self pairs drift away from their own variance recursion.
-    eq = (k1 == k3) & (k2 == k3) & (k3 > 0)
+    np.equal(k1, k3, out=eq)
     if eq.any():
-        vp = np.where(eq, 0.5 * k3, vp)
-        vpp = np.where(eq, 0.5, vpp)
-    return vp, vpp
+        eq &= (k2 == k3) & (k3 > 0)
+        vp[eq] = 0.5 * k3[eq]
+        vpp[eq] = 0.5
+
+
+def _vphi_cov(cov: Cov2) -> tuple[float, float]:
+    k1, k2, k3 = (np.array(float(k)) for k in (cov.k1, cov.k2, cov.k3))
+    vp, vpp = np.empty(()), np.empty(())
+    _vphi_into(k1, k2, k3, vp, vpp, _workspace(()))
+    return float(vp), float(vpp)
 
 
 def vphi(cov: Cov2) -> float:
@@ -167,14 +196,12 @@ def vphi(cov: Cov2) -> float:
     Closed form: (c*(pi - acos(c)) + sqrt(1 - c^2)) * sqrt(k1*k2) / (2*pi)
     with c = k3 / sqrt(k1*k2) clamped to [-1, 1].
     """
-    vp, _ = _vphi_arrays(np.float64(cov.k1), np.float64(cov.k2), np.float64(cov.k3))
-    return float(vp)
+    return _vphi_cov(cov)[0]
 
 
 def vphi_prime(cov: Cov2) -> float:
     """E[relu'(z1) * relu'(z2)] = (pi - acos(c)) / (2*pi), c clamped to [-1, 1]."""
-    _, vpp = _vphi_arrays(np.float64(cov.k1), np.float64(cov.k2), np.float64(cov.k3))
-    return float(vpp)
+    return _vphi_cov(cov)[1]
 
 
 class PairOutputs(NamedTuple):
@@ -272,88 +299,77 @@ def kernel_pair(x, x_prime, params: HyperParams) -> PairOutputs:
     return PairOutputs(ck_last, ntk_last, ck_avg, ntk_avg)
 
 
-class RecursionState:
-    """Per-tile buffers of the batched recursion.
+def _self_trajectory(X, cols, params: HyperParams) -> np.ndarray:
+    """Variance of every row's state at each step and layer, shape (T, L, N).
 
-    Holds one array per layer for the cross covariance, the two self
-    covariances, the NTK companion state, and the cached vphi/vphi_prime of
-    the current step, plus four readout accumulators. 6*L + 4 arrays total,
-    each sized to the tile's pair count: the working set never grows with
-    the sequence length T.
+    vphi of a self pair is half its variance (correlation 1): no vphi needed.
     """
-
-    def __init__(self, depth_L: int):
-        self.depth_L = depth_L
-        none = [None] * depth_L
-        self.sab = list(none)
-        self.saa = list(none)
-        self.sbb = list(none)
-        self.psi = list(none)
-        self.vp = list(none)
-        self.vpp = list(none)
-        self.ck_last = None
-        self.ntk_last = None
-        self.ck_avg = None
-        self.ntk_avg = None
-
-    def buffer_count(self) -> int:
-        return 6 * self.depth_L + 4
-
-    def step_heads(self, sv2: float):
-        """Update readouts from the top layer after a time step."""
-        top = self.depth_L - 1
-        ck_t = sv2 * self.vp[top]
-        ntk_t = ck_t + sv2 * self.psi[top] * self.vpp[top]
-        if self.ck_avg is None:
-            self.ck_avg = ck_t.copy()
-            self.ntk_avg = ntk_t.copy()
-        else:
-            self.ck_avg += ck_t
-            self.ntk_avg += ntk_t
-        self.ck_last, self.ntk_last = ck_t, ntk_t
-
-
-def _tile_kernels(Xa, Xb, ia, ib, cols, params: HyperParams) -> RecursionState:
-    """Run the pair recursion for one tile of (row of Xa, row of Xb) pairs.
-
-    `cols[t]` is the feature column fed at step t (reversed for flipped
-    input order). Values are gathered per step, so nothing with a T-sized
-    footprint is retained across steps.
-    """
-    su2 = params.sigma_u**2
-    sw2 = params.sigma_w**2
-    sb2 = params.sigma_b**2
-    sv2 = params.sigma_v**2
-    L = params.depth_L
-
-    st = RecursionState(L)
+    su2, sw2, sb2 = (v**2 for v in (params.sigma_u, params.sigma_w, params.sigma_b))
+    s = np.empty((len(cols), params.depth_L, X.shape[0]))
     for t, col in enumerate(cols):
-        xa = Xa[ia, col]
-        xb = Xb[ib, col]
-        for layer in range(L):
+        for layer in range(params.depth_L):
             if layer == 0:
-                sab_new = su2 * (xa * xb) + sb2
-                saa_new = su2 * (xa * xa) + sb2
-                sbb_new = su2 * (xb * xb) + sb2
-                psi_new = None
+                s[t, 0] = su2 * (X[:, col] * X[:, col]) + sb2
             else:
-                sab_new = su2 * st.vp[layer - 1] + sb2
-                saa_new = (su2 * 0.5) * st.saa[layer - 1] + sb2
-                sbb_new = (su2 * 0.5) * st.sbb[layer - 1] + sb2
-                psi_new = su2 * st.psi[layer - 1] * st.vpp[layer - 1]
+                s[t, layer] = (su2 * 0.5) * s[t, layer - 1] + sb2
             if t > 0:
-                # st.vp/st.vpp[layer] still hold the previous step here.
-                sab_new += sw2 * st.vp[layer]
-                saa_new += (sw2 * 0.5) * st.saa[layer]
-                sbb_new += (sw2 * 0.5) * st.sbb[layer]
-                carry = sw2 * st.psi[layer] * st.vpp[layer]
-                psi_new = carry if psi_new is None else psi_new + carry
-            psi_new = sab_new if psi_new is None else psi_new + sab_new
-            st.sab[layer], st.saa[layer], st.sbb[layer] = sab_new, saa_new, sbb_new
-            st.psi[layer] = psi_new
-            st.vp[layer], st.vpp[layer] = _vphi_arrays(saa_new, sbb_new, sab_new)
-        st.step_heads(sv2)
-    return st
+                s[t, layer] += (sw2 * 0.5) * s[t - 1, layer]
+    return s
+
+
+def _block(Xa, Xb, ia, ib, passes, params: HyperParams, pooled: bool, ck, ntk, dst):
+    """Add the readouts of one block of (row of Xa, row of Xb) pairs to ck/ntk[dst].
+
+    ia and ib turn a per-row vector into two arrays that broadcast to the
+    block: a column and a row (inputs enter as outer products), or the row
+    and column indices of a list of pairs. The 3L + 6 block buffers (psi,
+    vp, vpp per layer; covariance, two accumulators, vphi workspace) are
+    allocated once; each pass (direction) starts them from zeros, so step 0
+    adds zero carries, exactly.
+    """
+    su2, sw2, sb2, sv2 = (
+        v**2 for v in (params.sigma_u, params.sigma_w, params.sigma_b, params.sigma_v))
+    L = params.depth_L
+    shape = np.broadcast_shapes(Xa[:, 0][ia].shape, Xb[:, 0][ib].shape)
+    psi, vp, vpp = ([np.empty(shape) for _ in range(L)] for _ in range(3))
+    sab, acc_ck, acc_ntk = np.empty(shape), np.empty(shape), np.empty(shape)
+    work = _workspace(shape)
+    q, c, w, _ = work
+    for cols, saa, sbb in passes:
+        for buf in psi + vp + vpp + [acc_ck, acc_ntk]:
+            buf.fill(0.0)
+        for t, col in enumerate(cols):
+            for layer in range(L):
+                if layer == 0:
+                    np.multiply(Xa[:, col][ia], Xb[:, col][ib], out=sab)
+                    sab *= su2
+                else:
+                    np.multiply(vp[layer - 1], su2, out=sab)
+                sab += sb2
+                # psi/vp/vpp[layer] still hold the previous step here, and
+                # the layer below already holds this step
+                vp[layer] *= sw2
+                sab += vp[layer]
+                p = psi[layer]
+                p *= sw2
+                p *= vpp[layer]
+                if layer > 0:
+                    np.multiply(psi[layer - 1], su2, out=q)
+                    q *= vpp[layer - 1]
+                    p += q
+                p += sab
+                _vphi_into(saa[t, layer][ia], sbb[t, layer][ib], sab,
+                           vp[layer], vpp[layer], work)
+            if pooled or t == len(cols) - 1:
+                # ck_t = sv2 * vp_top, ntk_t = ck_t + sv2 * psi_top * vpp_top
+                np.multiply(vp[L - 1], sv2, out=c)
+                np.multiply(psi[L - 1], sv2, out=w)
+                w *= vpp[L - 1]
+                w += c
+                acc_ck += c
+                acc_ntk += w
+        ck[dst] += acc_ck
+        ntk[dst] += acc_ntk
 
 
 def _resolve_threads(threads) -> int:
@@ -365,27 +381,44 @@ def _resolve_threads(threads) -> int:
     return os.cpu_count() or 1
 
 
-def _run_pairs(Xa, Xb, ia, ib, cols, params, tile_pairs, threads):
-    """Evaluate all index pairs tile by tile; returns four (P,) arrays."""
-    n_pairs = ia.shape[0]
-    out = tuple(np.empty(n_pairs) for _ in range(4))
+def _kernel_blocks(Xa, Xb, params: HyperParams, variant: Variant, tile_pairs, threads):
+    """CK and NTK of every (row of Xa, row of Xb) pair, block by block.
 
-    def run_tile(start: int, stop: int):
-        st = _tile_kernels(Xa, Xb, ia[start:stop], ib[start:stop], cols, params)
-        for dst, src in zip(out, (st.ck_last, st.ntk_last, st.ck_avg, st.ntk_avg)):
-            dst[start:stop] = src
+    Blocks are squares of edge isqrt(tile_pairs). When Xa is Xb only the
+    upper triangle runs (a diagonal block as the list of its pairs), mirrored.
+    """
+    if tile_pairs < 1:
+        raise ValueError(f"tile_pairs must be at least 1, got {tile_pairs}")
+    edge = max(1, math.isqrt(tile_pairs))
+    symmetric = Xa is Xb
+    passes = []
+    for cols in _direction_passes(variant, Xa.shape[1]):
+        saa = _self_trajectory(Xa, cols, params)
+        passes.append((cols, saa, saa if symmetric else _self_trajectory(Xb, cols, params)))
+    na, nb = len(Xa), len(Xb)
+    ck, ntk = np.zeros((na, nb)), np.zeros((na, nb))
 
-    bounds = list(range(0, n_pairs, tile_pairs)) + [n_pairs]
-    tiles = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    workers = min(_resolve_threads(threads), len(tiles))
+    def run_block(a: int, b: int):
+        ra, rb = slice(a, min(a + edge, na)), slice(b, min(b + edge, nb))
+        dst, ia, ib = (ra, rb), (ra, None), rb
+        if symmetric and a == b:
+            # a diagonal block runs the pairs of its upper triangle only
+            dst = ia, ib = tuple(i + a for i in np.triu_indices(ra.stop - a))
+        _block(Xa, Xb, ia, ib, passes, params, variant.pooled, ck, ntk, dst)
+        if symmetric:
+            ck[dst[::-1]] = ck[dst].T
+            ntk[dst[::-1]] = ntk[dst].T
+
+    blocks = [(a, b) for a in range(0, na, edge)
+              for b in range(a if symmetric else 0, nb, edge)]
+    workers = min(_resolve_threads(threads), len(blocks))
     if workers <= 1:
-        for a, b in tiles:
-            run_tile(a, b)
+        for a, b in blocks:
+            run_block(a, b)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(run_tile, a, b) for a, b in tiles]:
-                future.result()
-    return out
+            list(pool.map(run_block, *zip(*blocks)))  # raises a block's exception
+    return ck, ntk
 
 
 def _as_matrix(data, name: str = "dataset") -> np.ndarray:
@@ -415,9 +448,9 @@ def _direction_passes(variant: Variant, T: int) -> list[np.ndarray]:
 class GramPair:
     """CK and NTK Gram matrices over one dataset.
 
-    Both matrices are exactly symmetric (each unordered pair is computed
-    once and mirrored) and positive semi-definite up to numerical
-    tolerance; NTK diagonal entries dominate CK diagonal entries.
+    Both matrices are exactly symmetric (the upper triangle is computed
+    and mirrored) and positive semi-definite up to numerical tolerance; NTK
+    diagonal entries dominate CK diagonal entries.
     """
 
     ck: np.ndarray
@@ -440,11 +473,6 @@ class CrossGram:
     variant: Variant
 
 
-def _select_heads(st_out, pooled: bool):
-    ck_last, ntk_last, ck_avg, ntk_avg = st_out
-    return (ck_avg, ntk_avg) if pooled else (ck_last, ntk_last)
-
-
 def gram(data, params: HyperParams, variant: Variant = Variant(), *,
          tile_pairs: int = TILE_PAIRS, threads=None) -> GramPair:
     """Compute the CK/NTK Gram matrices of a dataset under one variant.
@@ -452,25 +480,10 @@ def gram(data, params: HyperParams, variant: Variant = Variant(), *,
     Entry (i, j) matches `kernel_pair` on rows i and j with the variant's
     readout, input ordering, and sigma_v scaling applied. Only the upper
     triangle is computed; mirroring makes symmetry exact by construction.
+    tile_pairs is the number of pairs per square block.
     """
     X = _as_matrix(data)
-    N, T = X.shape
-    ia, ib = np.triu_indices(N)
-    ck_flat = ntk_flat = None
-    for cols in _direction_passes(variant, T):
-        ck_dir, ntk_dir = _select_heads(
-            _run_pairs(X, X, ia, ib, cols, params, tile_pairs, threads), variant.pooled)
-        if ck_flat is None:
-            ck_flat, ntk_flat = ck_dir, ntk_dir
-        else:
-            ck_flat = ck_flat + ck_dir
-            ntk_flat = ntk_flat + ntk_dir
-    ck = np.empty((N, N))
-    ntk = np.empty((N, N))
-    ck[ia, ib] = ck_flat
-    ck[ib, ia] = ck_flat
-    ntk[ia, ib] = ntk_flat
-    ntk[ib, ia] = ntk_flat
+    ck, ntk = _kernel_blocks(X, X, params, variant, tile_pairs, threads)
     return GramPair(ck=ck, ntk=ntk, params=params, variant=variant)
 
 
@@ -482,21 +495,8 @@ def gram_cross(train, test, params: HyperParams, variant: Variant = Variant(), *
     if Xtr.shape[1] != Xte.shape[1]:
         raise ShapeError(
             f"feature length mismatch: train T={Xtr.shape[1]}, test T={Xte.shape[1]}")
-    n_te, T = Xte.shape
-    n_tr = Xtr.shape[0]
-    ia = np.repeat(np.arange(n_te), n_tr)
-    ib = np.tile(np.arange(n_tr), n_te)
-    ck_flat = ntk_flat = None
-    for cols in _direction_passes(variant, T):
-        ck_dir, ntk_dir = _select_heads(
-            _run_pairs(Xte, Xtr, ia, ib, cols, params, tile_pairs, threads), variant.pooled)
-        if ck_flat is None:
-            ck_flat, ntk_flat = ck_dir, ntk_dir
-        else:
-            ck_flat = ck_flat + ck_dir
-            ntk_flat = ntk_flat + ntk_dir
-    return CrossGram(ck=ck_flat.reshape(n_te, n_tr), ntk=ntk_flat.reshape(n_te, n_tr),
-                     params=params, variant=variant)
+    ck, ntk = _kernel_blocks(Xte, Xtr, params, variant, tile_pairs, threads)
+    return CrossGram(ck=ck, ntk=ntk, params=params, variant=variant)
 
 
 def flip(x):

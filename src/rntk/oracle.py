@@ -182,7 +182,7 @@ def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel):
     return Delta
 
 
-def _inner_product(params: HyperParams, weights: RNNWeights, Delta, H, X,
+def _inner_product(params: HyperParams, Delta, H, X,
                    col_a: int, sel_a: int, col_b: int, sel_b: int,
                    c_a, c_b) -> float:
     """<grad f_a, grad f_b> assembled from per-layer Gram matrices.
@@ -193,8 +193,7 @@ def _inner_product(params: HyperParams, weights: RNNWeights, Delta, H, X,
     sigma^2 / width scale, and the output block is diagonal in t because
     heads use independent weights.
     """
-    n = weights.width
-    L = weights.depth_L
+    L, _, n, _ = H.shape
     T = X.shape[0]
     su2 = params.sigma_u**2
     sw2 = params.sigma_w**2
@@ -352,26 +351,27 @@ def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
     values = {}
 
     def run_net(seed, X):
+        # the draw is dropped on return, so at most one is alive at a time
         weights = sample_rnn(params, width, 1, T, seed)
         H, masks, heads, _ = _forward_cols(weights, params, X)
         Delta = None
         if need_ntk:
             Delta = _backward_cols(weights, params, H, masks, Csel)
-        return weights, H, heads, Delta
+        return H, heads, Delta
 
-    w1, H1, heads1, D1 = run_net(seed_pair[0], x2)
+    H1, heads1, D1 = run_net(seed_pair[0], x2)
     last1 = heads1[T - 1]
     sum1 = heads1.sum(axis=0)
     values[(Arch.RNN, _CK)] = float(last1[0] * last1[1])
     values[(Arch.RNN_AVG, _CK)] = float(sum1[0] * sum1[1])
     if need_ntk:
         values[(Arch.RNN, _NTK)] = _inner_product(
-            params, w1, D1, H1, x2, 0, 0, 1, 0, Csel[:, 0], Csel[:, 0])
+            params, D1, H1, x2, 0, 0, 1, 0, Csel[:, 0], Csel[:, 0])
         values[(Arch.RNN_AVG, _NTK)] = _inner_product(
-            params, w1, D1, H1, x2, 0, 1, 1, 1, Csel[:, 1], Csel[:, 1])
+            params, D1, H1, x2, 0, 1, 1, 1, Csel[:, 1], Csel[:, 1])
     if need_bi:
         xf2 = x2[::-1].copy()
-        w2, H2, heads2, D2 = run_net(seed_pair[1], xf2)
+        H2, heads2, D2 = run_net(seed_pair[1], xf2)
         last2 = heads2[T - 1]
         sum2 = heads2.sum(axis=0)
         values[(Arch.BI_RNN, _CK)] = float(
@@ -382,10 +382,10 @@ def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
             # gradients of the two directions live in disjoint blocks, so
             # the bidirectional inner product is the exact two-term sum
             values[(Arch.BI_RNN, _NTK)] = values[(Arch.RNN, _NTK)] + _inner_product(
-                params, w2, D2, H2, xf2, 0, 0, 1, 0, Csel[:, 0], Csel[:, 0])
+                params, D2, H2, xf2, 0, 0, 1, 0, Csel[:, 0], Csel[:, 0])
             values[(Arch.BI_RNN_AVG, _NTK)] = (
                 values[(Arch.RNN_AVG, _NTK)] + _inner_product(
-                    params, w2, D2, H2, xf2, 0, 1, 1, 1, Csel[:, 1], Csel[:, 1]))
+                    params, D2, H2, xf2, 0, 1, 1, 1, Csel[:, 1], Csel[:, 1]))
     return values
 
 
@@ -475,6 +475,6 @@ def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials:
         H, masks, heads, _ = _forward_cols(weights, params, x2)
         Delta = _backward_cols(weights, params, H, masks, Csel)
         prods[i] = heads[head_a, 0] * heads[head_b, 1]
-        inners[i] = _inner_product(params, weights, Delta, H, x2,
+        inners[i] = _inner_product(params, Delta, H, x2,
                                    0, 0, 1, 1, Csel[:, 0], Csel[:, 1])
     return _estimate(prods, width), _estimate(inners, width)

@@ -204,6 +204,16 @@ def smo_train(gram, labels, C: float, tol: float = 1e-3,
         raise ValueError("binary labels must be +1 or -1")
     if np.all(y > 0) or np.all(y < 0):
         raise DegenerateProblemError("training labels contain a single class")
+    return _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0)
+
+
+def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0) -> DualModel:
+    """`smo_train` on a Gram and +/-1 labels that have passed its checks.
+
+    A principal block of a checked Gram passes the same elementwise
+    symmetry test, so `train_multiclass` fits its pairs here without
+    scanning every block again. C and alpha0 are checked here.
+    """
     if not (C > 0):
         raise ValueError("C must be positive")
     if alpha0 is not None:
@@ -284,8 +294,7 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
             pos = np.searchsorted(idx, seed.support_indices)
             alpha0 = np.zeros(idx.size)
             alpha0[pos] = seed.alphas * y[pos]
-        pair_model = smo_train(sub, y, C, tol, max_iter, class_pair=(a, b),
-                               alpha0=alpha0)
+        pair_model = _fit_pair(sub, y, C, tol, max_iter, (a, b), alpha0)
         models.append(DualModel(
             support_indices=idx[pair_model.support_indices],
             alphas=pair_model.alphas, bias=pair_model.bias,

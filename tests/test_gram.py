@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from rntk import (
     gram_cross,
     kernel_pair,
 )
-from rntk.kernels import RecursionState, _tile_kernels
+from rntk.kernels import TILE_PAIRS
+
+from kernel_reference import reference_gram, reference_gram_cross
 
 ALL_VARIANTS = [
     Variant(Arch.RNN),
@@ -222,15 +226,66 @@ def test_shape_errors():
         gram(np.array([[1.0, float("nan")]]), HP)
 
 
-def test_recursion_state_buffers_independent_of_length():
-    rng = np.random.default_rng(26)
-    for depth in (1, 2, 4):
-        counts = []
-        for T in (2, 48):
-            X = rng.standard_normal((4, T))
-            ia, ib = np.triu_indices(4)
-            hp = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=depth)
-            st = _tile_kernels(X, X, ia, ib, np.arange(T), hp)
-            counts.append(st.buffer_count())
-        assert counts[0] == counts[1] == 6 * depth + 4
-    assert RecursionState(3).buffer_count() == 22
+def test_tile_pairs_below_one_rejected():
+    X = np.ones((3, 2))
+    for tile_pairs in (0, -5):
+        with pytest.raises(ValueError, match="tile_pairs"):
+            gram(X, HP, tile_pairs=tile_pairs)
+        with pytest.raises(ValueError, match="tile_pairs"):
+            gram_cross(X, X[:2], HP, tile_pairs=tile_pairs)
+
+
+def test_block_engine_matches_pair_engine_bit_for_bit():
+    # 13 rows: not a multiple of the block edge 4 (tile_pairs=17); a zero row
+    # (zero variance when sigma_b = 0), duplicated rows (the c = 1 pin fires
+    # off the diagonal) and a test row equal to a train row
+    rng = np.random.default_rng(28)
+    X = rng.standard_normal((13, 5))
+    X[4] = 0.0
+    X[9] = X[2]
+    Y = rng.standard_normal((6, 5))
+    Y[1] = X[2]
+    Y[3] = 0.0
+    for depth in (1, 2, 3):
+        for sigma_b in (0.1, 0.0):
+            hp = HyperParams(sigma_u=0.5, sigma_b=sigma_b, sigma_v=0.7, depth_L=depth)
+            for variant in ALL_VARIANTS:
+                ref = reference_gram(X, hp, variant)
+                ref_cross = reference_gram_cross(X, Y, hp, variant)
+                for tile_pairs in (1, 17, TILE_PAIRS):
+                    for threads in (1, 4):
+                        kw = dict(tile_pairs=tile_pairs, threads=threads)
+                        gp = gram(X, hp, variant, **kw)
+                        cross = gram_cross(X, Y, hp, variant, **kw)
+                        case = (depth, sigma_b, variant, tile_pairs, threads)
+                        assert np.array_equal(gp.ck, ref.ck), case
+                        assert np.array_equal(gp.ntk, ref.ntk), case
+                        assert np.array_equal(cross.ck, ref_cross.ck), case
+                        assert np.array_equal(cross.ntk, ref_cross.ntk), case
+
+
+def test_peak_working_set_is_outputs_plus_blocks():
+    # tracemalloc peak of one call = the two outputs + the per-row self
+    # trajectories (T * L * N per direction) + a fixed per-block allowance:
+    # 3L + 6 block-sized buffers plus slack for numpy's own scratch, which
+    # is the same at T = 2 and T = 48. Index arrays over all pairs (16
+    # bytes per pair) and flat per-pair outputs would exceed it.
+    N, edge = 300, 64
+    block = edge * edge * 8
+    rng = np.random.default_rng(30)
+    for depth in (1, 3):
+        hp = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=depth)
+        for variant in (Variant(Arch.RNN), Variant(Arch.BI_RNN_AVG)):
+            passes = 2 if variant.bidirectional else 1
+            extra = []
+            for T in (2, 48):
+                X = rng.standard_normal((N, T))
+                tracemalloc.start()
+                try:
+                    gram(X, hp, variant, tile_pairs=edge * edge, threads=1)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                extra.append(peak - 2 * N * N * 8 - passes * T * depth * N * 8)
+            assert max(extra) <= (3 * depth + 6) * block + 128 * 1024, (depth, variant, extra)
+            assert abs(extra[1] - extra[0]) <= 16 * 1024, (depth, variant, extra)

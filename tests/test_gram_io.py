@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,21 @@ def test_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back, mat)
     assert kind == KIND_NTK
     assert variant == Variant(Arch.BI_RNN)
+
+
+def test_read_holds_the_payload_once(tmp_path):
+    mat = np.random.default_rng(2).standard_normal((200, 300))
+    path = tmp_path / "k.gram"
+    write_gram(path, mat, KIND_CK, Variant())
+    tracemalloc.start()
+    try:
+        back, _, _ = read_gram(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, mat)
+    # the matrix itself plus a little: no second copy of the file in bytes
+    assert peak <= mat.nbytes + 64 * 1024
 
 
 def test_header_size_and_layout(tmp_path):

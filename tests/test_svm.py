@@ -175,6 +175,30 @@ def test_three_class_training():
     assert np.array_equal(predict(model, gram), labels)
 
 
+def test_pair_fits_skip_the_sub_gram_check(monkeypatch):
+    # the full Gram is checked once; each pair fit still equals smo_train
+    # (which checks its block again) on the pair's principal block
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((24, 2))
+    labels = np.repeat([0, 1, 2], 8)
+    X += labels[:, None] * 1.5
+    gram = rbf_gram(X)
+    checked = []
+    inner = svm._check_gram
+    monkeypatch.setattr(svm, "_check_gram", lambda g: checked.append(g.shape) or inner(g))
+    model = train_multiclass(gram, labels, C=1.0)
+    assert checked == [(24, 24)]
+    for pair in model.models:
+        a, b = pair.class_pair
+        idx = np.flatnonzero((labels == a) | (labels == b))
+        y = np.where(labels[idx] == a, 1.0, -1.0)
+        ref = smo_train(gram[np.ix_(idx, idx)], y, C=1.0, class_pair=(a, b))
+        assert checked[-1] == (16, 16)
+        assert np.array_equal(idx[ref.support_indices], pair.support_indices)
+        assert np.array_equal(ref.alphas, pair.alphas)
+        assert ref.bias == pair.bias
+
+
 def test_missing_class_becomes_constant_vote(caplog):
     gram = np.eye(5)
     labels = np.array([0, 0, 0, 1, 1])
@@ -242,13 +266,13 @@ def kkt_gap(gram, y, alpha, C):
 def record_seeds(monkeypatch):
     """Make train_multiclass report whether each pair fit got a start point."""
     seeded = []
-    inner = svm.smo_train
+    inner = svm._fit_pair
 
-    def spy(*args, alpha0=None, **kwargs):
+    def spy(K, y, C, tol, max_iter, class_pair, alpha0):
         seeded.append(alpha0 is not None)
-        return inner(*args, alpha0=alpha0, **kwargs)
+        return inner(K, y, C, tol, max_iter, class_pair, alpha0)
 
-    monkeypatch.setattr(svm, "smo_train", spy)
+    monkeypatch.setattr(svm, "_fit_pair", spy)
     return seeded
 
 
