@@ -145,11 +145,32 @@ def default_splits(name: str, n_points: int) -> Splits:
 
 
 def load_splits(path, n_points: int) -> Splits:
-    """Read a sidecar split file: {"validation_half": [...], "folds": [[...] x 4]}."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    val = np.asarray(raw["validation_half"], dtype=np.int64)
-    folds = tuple(np.asarray(f, dtype=np.int64) for f in raw["folds"])
-    return Splits(validation_half=val, folds=folds, n_points=n_points)
+    """Read a sidecar split file: {"validation_half": [...], "folds": [[...] x 4]}.
+
+    Raises ValueError naming the file, and the key when one is missing or
+    holds anything but a list of integer indices.
+    """
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+    def indices(value, key):
+        if not isinstance(value, list) or not all(type(i) is int for i in value):
+            raise ValueError(f"{path}: {key} must be a list of integer indices")
+        return np.asarray(value, dtype=np.int64)
+
+    for key in ("validation_half", "folds"):
+        if not isinstance(raw, dict) or key not in raw:
+            raise ValueError(f"{path}: missing key {key!r}")
+    if not isinstance(raw["folds"], list):
+        raise ValueError(f"{path}: folds must be a list of index lists")
+    val = indices(raw["validation_half"], "validation_half")
+    folds = tuple(indices(f, f"folds[{k}]") for k, f in enumerate(raw["folds"]))
+    try:
+        return Splits(validation_half=val, folds=folds, n_points=n_points)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_dataset(path) -> Dataset:
@@ -260,50 +281,23 @@ def _sq_dists(A, B):
     return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
 
 
-class _GramStore:
-    """Computes each kernel spec once per (phase, fold) context.
-
-    The computation counter backs the reuse contract: every C value and,
-    for RNN kernels, both CK and NTK selectors share one computation.
-    Only the current context's Grams are kept: run_protocol finishes the
-    validation phase, then each fold, in turn, and never returns to one.
-    """
-
-    def __init__(self, grid: HyperGrid, T: int, threads):
-        self.grid = grid
-        self.T = T
-        self.threads = threads
-        self.computations = 0
-        self._context = None
-        self._cache = {}
-
-    def get(self, context, spec, train_X, test_X):
-        if context != self._context:
-            self._cache.clear()
-            self._context = context
-        if spec not in self._cache:
-            self._cache[spec] = self._compute(spec, train_X, test_X)
-            self.computations += 1
-        return self._cache[spec]
-
-    def _compute(self, spec, train_X, test_X):
-        if isinstance(spec, RNNKernelSpec):
-            params = HyperParams(
-                sigma_w=self.grid.sigma_w, sigma_u=spec.sigma_u,
-                sigma_b=spec.sigma_b, sigma_v=sigma_v_for(spec.variant, self.T),
-                depth_L=spec.depth_L)
-            full = gram(train_X, params, spec.variant, threads=self.threads)
-            cross = gram_cross(train_X, test_X, params, spec.variant,
-                               threads=self.threads)
-            return {SELECTOR_CK: (full.ck, cross.ck),
-                    SELECTOR_NTK: (full.ntk, cross.ntk)}
-        if isinstance(spec, RBFSpec):
-            K = np.exp(-spec.gamma * _sq_dists(train_X, train_X))
-            C = np.exp(-spec.gamma * _sq_dists(test_X, train_X))
-            return {None: (K, C)}
-        base_tr = train_X @ train_X.T / spec.T + 1.0
-        base_te = test_X @ train_X.T / spec.T + 1.0
-        return {None: (base_tr**spec.degree, base_te**spec.degree)}
+def _kernel_matrices(spec, grid: HyperGrid, T: int, train_X, test_X, threads):
+    """{selector: (train Gram, test-by-train cross Gram)} of one kernel spec."""
+    if isinstance(spec, RNNKernelSpec):
+        params = HyperParams(
+            sigma_w=grid.sigma_w, sigma_u=spec.sigma_u, sigma_b=spec.sigma_b,
+            sigma_v=sigma_v_for(spec.variant, T), depth_L=spec.depth_L)
+        full = gram(train_X, params, spec.variant, threads=threads)
+        cross = gram_cross(train_X, test_X, params, spec.variant, threads=threads)
+        return {SELECTOR_CK: (full.ck, cross.ck),
+                SELECTOR_NTK: (full.ntk, cross.ntk)}
+    if isinstance(spec, RBFSpec):
+        K = np.exp(-spec.gamma * _sq_dists(train_X, train_X))
+        C = np.exp(-spec.gamma * _sq_dists(test_X, train_X))
+        return {None: (K, C)}
+    base_tr = train_X @ train_X.T / spec.T + 1.0
+    base_te = test_X @ train_X.T / spec.T + 1.0
+    return {None: (base_tr**spec.degree, base_te**spec.degree)}
 
 
 def _method_configs(method: str, grid: HyperGrid, T: int):
@@ -311,7 +305,6 @@ def _method_configs(method: str, grid: HyperGrid, T: int):
     configs = []
     if method in METHOD_VARIANTS:
         for arch, order in METHOD_VARIANTS[method]:
-            per_ordering = 0
             for su in grid.sigma_u_set:
                 for sb in grid.sigma_b_set:
                     for L in grid.L_set:
@@ -319,11 +312,6 @@ def _method_configs(method: str, grid: HyperGrid, T: int):
                         for selector in (SELECTOR_CK, SELECTOR_NTK):
                             for C in grid.C_set:
                                 configs.append((spec, selector, C))
-                                per_ordering += 1
-            expected = (len(grid.sigma_u_set) * len(grid.sigma_b_set)
-                        * len(grid.L_set) * len(grid.C_set) * 2)
-            assert per_ordering == expected, \
-                f"{method}: {per_ordering} configs per ordering, expected {expected}"
     elif method == "rbf":
         for g in grid.rbf_gamma_scaled:
             spec = RBFSpec(gamma=g / T)
@@ -351,19 +339,29 @@ class ProtocolResult:
     gram_computations: int
 
 
-def _evaluate_config(store, context, spec, selector, C, train_X, test_X,
-                     train_labels, label_set, last_models):
-    """Train and predict one configuration.
+def _predictions(configs, grid: HyperGrid, T: int, train_X, test_X, train_y,
+                 label_set, threads):
+    """Train every distinct configuration on one split and predict its test rows.
 
-    last_models maps (spec, selector) to the model last trained on that
-    Gram in this context; it seeds the fit (train_multiclass uses it only
-    when its C is no larger) and is then replaced by the new model.
+    Returns ({config: predicted labels}, kernel computations). Configs run
+    in order; each spec's kernels are computed once and shared by both
+    selectors and every C, and each fit is seeded with the last model of
+    its (spec, selector), so with the ascending default C_set it starts
+    from the solution at the previous C. The Grams die on return.
     """
-    K, cross = store.get(context, spec, train_X, test_X)[selector]
-    model = train_multiclass(K, train_labels, C=C, label_set=label_set,
-                             warm_start=last_models.get((spec, selector)))
-    last_models[(spec, selector)] = model
-    return predict(model, cross)
+    kernels, last_models, preds = {}, {}, {}
+    for cfg in configs:
+        if cfg in preds:
+            continue
+        spec, selector, C = cfg
+        if spec not in kernels:
+            kernels[spec] = _kernel_matrices(spec, grid, T, train_X, test_X, threads)
+        K, cross = kernels[spec][selector]
+        model = train_multiclass(K, train_y, C=C, label_set=label_set,
+                                 warm_start=last_models.get((spec, selector)))
+        last_models[(spec, selector)] = model
+        preds[cfg] = predict(model, cross)
+    return preds, len(kernels)
 
 
 def _vote(predictions, n_classes):
@@ -391,7 +389,6 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
     if splits.n_points != N:
         raise ValueError("splits were built for a different dataset size")
     label_set = np.arange(len(dataset.label_values))
-    store = _GramStore(grid, dataset.T, threads)
 
     val_idx = splits.validation_half
     tr_idx = splits.training_half
@@ -403,49 +400,32 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
     tr_X, val_X = normalize(dataset.features[tr_idx], dataset.features[val_idx])
     tr_y, val_y = dataset.labels[tr_idx], dataset.labels[val_idx]
 
-    config_acc = {}
-    # a (spec, selector) runs its C values in C_set order, so with the
-    # ascending default each fit starts from the solution at the previous C
-    last_models = {}
-
-    def validation_accuracy(spec, selector, C):
-        key = (spec, selector, C)
-        if key not in config_acc:
-            pred = _evaluate_config(store, "validation", spec, selector, C,
-                                    tr_X, val_X, tr_y, label_set, last_models)
-            config_acc[key] = float(np.mean(pred == val_y))
-        return config_acc[key]
-
     method_configs = {m: _method_configs(m, grid, dataset.T) for m in grid.methods}
+    preds, gram_computations = _predictions(
+        [cfg for m in grid.methods for cfg in method_configs[m]], grid, dataset.T,
+        tr_X, val_X, tr_y, label_set, threads)
     validation_best = {}
     best_configs = {}
     for method, configs in method_configs.items():
-        scores = [validation_accuracy(*cfg) for cfg in configs]
+        scores = [float(np.mean(preds[cfg] == val_y)) for cfg in configs]
         best = max(scores)
         validation_best[method] = best
         best_configs[method] = [cfg for cfg, s in zip(configs, scores) if s == best]
 
     fold_accuracies = {m: [] for m in grid.methods}
-    for k, fold in enumerate(splits.folds):
+    for fold in splits.folds:
         mask = np.ones(N, dtype=bool)
         mask[fold] = False
         fit_idx = np.flatnonzero(mask)
         fit_X, te_X = normalize(dataset.features[fit_idx], dataset.features[fold])
         fit_y, te_y = dataset.labels[fit_idx], dataset.labels[fold]
-        context = ("fold", k)
-        fold_preds = {}
-        last_models = {}
-
-        def fold_prediction(cfg):
-            if cfg not in fold_preds:
-                fold_preds[cfg] = _evaluate_config(
-                    store, context, *cfg, fit_X, te_X, fit_y, label_set,
-                    last_models)
-            return fold_preds[cfg]
-
+        preds, computed = _predictions(
+            [cfg for m in grid.methods for cfg in best_configs[m]], grid, dataset.T,
+            fit_X, te_X, fit_y, label_set, threads)
+        gram_computations += computed
         for method in grid.methods:
-            preds = [fold_prediction(cfg) for cfg in best_configs[method]]
-            voted = _vote(preds, len(dataset.label_values))
+            voted = _vote([preds[cfg] for cfg in best_configs[method]],
+                          len(dataset.label_values))
             fold_accuracies[method].append(float(np.mean(voted == te_y)))
 
     accuracies = {m: float(np.mean(fold_accuracies[m])) for m in grid.methods}
@@ -455,7 +435,7 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
                           validation_best=validation_best,
                           best_configs=labels_of,
                           fold_accuracies=fold_accuracies,
-                          gram_computations=store.computations)
+                          gram_computations=gram_computations)
 
 
 @dataclass(frozen=True)

@@ -373,12 +373,20 @@ def _block(Xa, Xb, ia, ib, passes, params: HyperParams, pooled: bool, ck, ntk, d
 
 
 def _resolve_threads(threads) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("RNTK_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Worker count: the threads argument, else RNTK_THREADS, else the cores."""
+    name = "threads"
+    if threads is None:
+        threads = os.environ.get("RNTK_THREADS")
+        if not threads:
+            return os.cpu_count() or 1
+        name = "RNTK_THREADS"
+    try:
+        count = int(threads)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {threads!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return count
 
 
 def _kernel_blocks(Xa, Xb, params: HyperParams, variant: Variant, tile_pairs, threads):

@@ -338,6 +338,18 @@ _CK = "ck"
 _NTK = "ntk"
 
 
+def _run_net(params, width, seed, X, Csel):
+    """(H, heads, Delta) of a (T, B) batch X through one fresh draw.
+
+    Delta is None unless Csel selects readouts to backpropagate. The draw
+    is dropped on return, so a caller holds at most one at a time.
+    """
+    weights = sample_rnn(params, width, 1, X.shape[0], seed)
+    H, masks, heads, _ = _forward_cols(weights, params, X)
+    Delta = None if Csel is None else _backward_cols(weights, params, H, masks, Csel)
+    return H, heads, Delta
+
+
 def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
     """Per-trial kernel values for every architecture, from shared draws.
 
@@ -348,18 +360,9 @@ def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
     """
     T = x2.shape[0]
     Csel = _selectors(T)
+    back = Csel if need_ntk else None
     values = {}
-
-    def run_net(seed, X):
-        # the draw is dropped on return, so at most one is alive at a time
-        weights = sample_rnn(params, width, 1, T, seed)
-        H, masks, heads, _ = _forward_cols(weights, params, X)
-        Delta = None
-        if need_ntk:
-            Delta = _backward_cols(weights, params, H, masks, Csel)
-        return H, heads, Delta
-
-    H1, heads1, D1 = run_net(seed_pair[0], x2)
+    H1, heads1, D1 = _run_net(params, width, seed_pair[0], x2, back)
     last1 = heads1[T - 1]
     sum1 = heads1.sum(axis=0)
     values[(Arch.RNN, _CK)] = float(last1[0] * last1[1])
@@ -371,7 +374,7 @@ def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
             params, D1, H1, x2, 0, 1, 1, 1, Csel[:, 1], Csel[:, 1])
     if need_bi:
         xf2 = x2[::-1].copy()
-        H2, heads2, D2 = run_net(seed_pair[1], xf2)
+        H2, heads2, D2 = _run_net(params, width, seed_pair[1], xf2, back)
         last2 = heads2[T - 1]
         sum2 = heads2.sum(axis=0)
         values[(Arch.BI_RNN, _CK)] = float(
@@ -471,9 +474,7 @@ def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials:
     prods = np.empty(trials)
     inners = np.empty(trials)
     for i, child in enumerate(root.spawn(trials)):
-        weights = sample_rnn(params, width, 1, T, child)
-        H, masks, heads, _ = _forward_cols(weights, params, x2)
-        Delta = _backward_cols(weights, params, H, masks, Csel)
+        H, heads, Delta = _run_net(params, width, child, x2, Csel)
         prods[i] = heads[head_a, 0] * heads[head_b, 1]
         inners[i] = _inner_product(params, Delta, H, x2,
                                    0, 0, 1, 1, Csel[:, 0], Csel[:, 1])

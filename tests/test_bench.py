@@ -1,10 +1,11 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from rntk import Arch, ShapeError, Variant
+from rntk import Arch, ShapeError, Variant, bench
 from rntk.bench import (
     BenchReport,
     Dataset,
@@ -12,8 +13,8 @@ from rntk.bench import (
     HyperGrid,
     RNNKernelSpec,
     Splits,
-    _GramStore,
     _method_configs,
+    _predictions,
     _vote,
     aggregates_to_csv,
     compute_metrics,
@@ -76,6 +77,32 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(write_csv(tmp_path, "flab.csv", "1.0,2.0,0.5\n"))
     with pytest.raises(DatasetFormatError, match="row 1"):
         load_dataset(write_csv(tmp_path, "thin.csv", "7\n8\n"))
+
+
+def test_load_splits_rejects_bad_sidecars(tmp_path):
+    s = default_splits("demo", 16)
+    val = s.validation_half.tolist()
+    folds = [f.tolist() for f in s.folds]
+    cases = [
+        ({"validation_half": val}, "'folds'"),
+        ({"folds": folds}, "'validation_half'"),
+        ([val, folds], "'validation_half'"),
+        ({"validation_half": [i + 0.5 for i in val], "folds": folds}, "validation_half"),
+        ({"validation_half": val, "folds": [folds[0], [0.9, 1.5]] + folds[2:]}, "folds[1]"),
+        ({"validation_half": val, "folds": 4}, "folds"),
+        ({"validation_half": val, "folds": folds[:3]}, "4 folds"),
+    ]
+    for k, (doc, key) in enumerate(cases):
+        p = tmp_path / f"bad{k}.splits.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_splits(p, 16)
+        assert str(p) in str(exc.value) and key in str(exc.value), (k, str(exc.value))
+    p = tmp_path / "text.splits.json"
+    p.write_text("validation_half: 0 1 2", encoding="utf-8")
+    with pytest.raises(ValueError, match="not valid JSON") as exc:
+        load_splits(p, 16)
+    assert str(p) in str(exc.value)
 
 
 def test_normalize_contract():
@@ -201,22 +228,48 @@ def test_method_configs_counts():
         _method_configs("mystery", grid, 5)
 
 
-def test_gram_store_reuse_counter():
+def test_predictions_share_kernels_and_free_them(monkeypatch):
     ds = make_dataset(1)
-    store = _GramStore(SMALL_GRID, ds.T, threads=1)
     spec = RNNKernelSpec(Variant(Arch.RNN), 0.5, 0.1, 1)
-    X = ds.features[:8]
-    Y = ds.features[8:]
-    first = store.get("validation", spec, X, Y)
-    again = store.get("validation", spec, X, Y)
-    assert store.computations == 1
-    assert first["ck"][0] is again["ck"][0]
-    assert first["ntk"][0] is not first["ck"][0]
-    store.get(("fold", 0), spec, X, Y)
-    assert store.computations == 2
-    # a new context drops the previous context's Grams
-    assert list(store._cache) == [spec]
-    assert store._cache[spec]["ck"][0] is not first["ck"][0]
+    configs = [(spec, sel, C) for sel in ("ck", "ntk") for C in (1.0, 100.0)]
+    configs.insert(2, configs[0])
+    calls = {"gram": 0, "gram_cross": 0}
+    grams, seeds = [], []
+    real_gram, real_cross = bench.gram, bench.gram_cross
+    real_train = bench.train_multiclass
+
+    def spy_gram(*args, **kwargs):
+        calls["gram"] += 1
+        out = real_gram(*args, **kwargs)
+        grams.append((weakref.ref(out.ck), id(out.ck), id(out.ntk)))
+        return out
+
+    def spy_cross(*args, **kwargs):
+        calls["gram_cross"] += 1
+        return real_cross(*args, **kwargs)
+
+    def spy_train(gram, labels, C, **kwargs):
+        model = real_train(gram, labels, C, **kwargs)
+        seeds.append((kwargs["warm_start"], model, id(gram)))
+        return model
+
+    monkeypatch.setattr(bench, "gram", spy_gram)
+    monkeypatch.setattr(bench, "gram_cross", spy_cross)
+    monkeypatch.setattr(bench, "train_multiclass", spy_train)
+    preds, computed = _predictions(configs, SMALL_GRID, ds.T, ds.features[:8],
+                                   ds.features[8:], ds.labels[:8], np.arange(2),
+                                   threads=1)
+    # one kernel computation serves both selectors and every C
+    assert computed == 1 and calls == {"gram": 1, "gram_cross": 1}
+    assert len(seeds) == 4 and set(preds) == set(configs)
+    assert all(p.shape == (8,) for p in preds.values())
+    # each selector trains on its own Gram, seeded by its previous C's model
+    _, ck_id, ntk_id = grams[0]
+    assert [g for _, _, g in seeds] == [ck_id, ck_id, ntk_id, ntk_id]
+    assert seeds[0][0] is None and seeds[1][0] is seeds[0][1]
+    assert seeds[2][0] is None and seeds[3][0] is seeds[2][1]
+    # only one context's Grams live at a time: they die on return
+    assert grams[0][0]() is None
 
 
 def test_protocol_deterministic_and_counted():

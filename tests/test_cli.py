@@ -181,6 +181,19 @@ def test_bench_command_sidecar_splits(tmp_path):
     assert (out_a / "report.json").read_text() == (out_b / "report.json").read_text()
 
 
+def test_bench_command_bad_sidecar_exits_one(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    write_dataset(data_dir / "one.csv", seed=15)
+    sidecar = data_dir / "one.splits.json"
+    sidecar.write_text(json.dumps({"validation_half": list(range(8))}),
+                       encoding="utf-8")
+    assert main(["bench", "--data-dir", str(data_dir),
+                 "--out-dir", str(tmp_path / "o"), "--methods", "rbf"]) == 1
+    err = capsys.readouterr().err
+    assert "one.splits.json" in err and "'folds'" in err
+
+
 def test_timing_command(tmp_path):
     out = tmp_path / "times.csv"
     code = main(["timing", "--N-list", "30,60", "--T-list", "4", "--L-list", "1",

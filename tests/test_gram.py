@@ -235,6 +235,22 @@ def test_tile_pairs_below_one_rejected():
             gram_cross(X, X[:2], HP, tile_pairs=tile_pairs)
 
 
+def test_threads_below_one_rejected(monkeypatch):
+    X = np.ones((3, 2))
+    for threads in (0, -4):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            gram(X, HP, threads=threads)
+    for env in ("0", "-4"):
+        monkeypatch.setenv("RNTK_THREADS", env)
+        with pytest.raises(ValueError, match="RNTK_THREADS must be at least 1"):
+            gram(X, HP)
+    monkeypatch.setenv("RNTK_THREADS", "abc")
+    with pytest.raises(ValueError, match="RNTK_THREADS must be an integer"):
+        gram_cross(X, X[:2], HP)
+    # an explicit argument wins over the environment
+    assert np.array_equal(gram(X, HP, threads=1).ck, gram(X, HP, threads=2).ck)
+
+
 def test_block_engine_matches_pair_engine_bit_for_bit():
     # 13 rows: not a multiple of the block edge 4 (tile_pairs=17); a zero row
     # (zero variance when sigma_b = 0), duplicated rows (the c = 1 pin fires

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,24 @@ def test_cross_head_same_head_recovers_kernel():
         x, xp, params, width=600, trials=300, seed=113, head_a=2, head_b=2)
     assert abs(prods.mean - analytic.ck_last) < 5.0 * prods.stderr + 0.02 * abs(analytic.ck_last)
     assert abs(inners.mean - analytic.ntk_last) < 5.0 * inners.stderr + 0.02 * abs(analytic.ntk_last)
+
+
+def test_cross_head_holds_one_draw_at_a_time():
+    # the previous trial's draw must be gone before the next one is sampled
+    params = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=2)
+    x = np.array([0.8, -0.6, 0.3, 0.5, -0.2])
+    xp = np.array([0.1, 0.9, -0.7, 0.4, 0.6])
+    draw = sample_rnn(params, 800, 1, x.size, seed=0)
+    draw_bytes = sum(a.nbytes for a in draw.W + draw.U + draw.b + [draw.V])
+    del draw
+    tracemalloc.start()
+    try:
+        empirical_cross_head(x, xp, params, width=800, trials=3, seed=131,
+                             head_a=1, head_b=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < draw_bytes + 2 * 1024 * 1024, (peak, draw_bytes)
 
 
 def test_suite_shares_forward_draws():
