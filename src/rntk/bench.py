@@ -22,7 +22,17 @@ from typing import Optional
 import numpy as np
 from scipy.stats import rankdata
 
-from .kernels import Arch, HyperParams, InputOrder, ShapeError, Variant, gram, gram_cross
+from .kernels import (
+    Arch,
+    HyperParams,
+    InputOrder,
+    ShapeError,
+    Variant,
+    gram_cross_family,
+    gram_family,
+)
+# unused here, but the benchmark's traces (perfbench/workloads.py) patch them here
+from .kernels import gram, gram_cross  # noqa: F401
 from .svm import predict, train_multiclass
 
 log = logging.getLogger("rntk.bench")
@@ -281,16 +291,24 @@ def _sq_dists(A, B):
     return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
 
 
-def _kernel_matrices(spec, grid: HyperGrid, T: int, train_X, test_X, threads):
-    """{selector: (train Gram, test-by-train cross Gram)} of one kernel spec."""
-    if isinstance(spec, RNNKernelSpec):
-        params = HyperParams(
-            sigma_w=grid.sigma_w, sigma_u=spec.sigma_u, sigma_b=spec.sigma_b,
-            sigma_v=sigma_v_for(spec.variant, T), depth_L=spec.depth_L)
-        full = gram(train_X, params, spec.variant, threads=threads)
-        cross = gram_cross(train_X, test_X, params, spec.variant, threads=threads)
-        return {SELECTOR_CK: (full.ck, cross.ck),
-                SELECTOR_NTK: (full.ntk, cross.ntk)}
+def _family_matrices(specs, grid: HyperGrid, T: int, train_X, test_X, threads):
+    """{spec: {selector: (train Gram, cross Gram)}} of RNN specs sharing (sigma_u, sigma_b).
+
+    All of them come from one train-by-train and one test-by-train call,
+    bit for bit what `gram`/`gram_cross` return for each spec alone.
+    """
+    members = [(HyperParams(sigma_w=grid.sigma_w, sigma_u=spec.sigma_u,
+                            sigma_b=spec.sigma_b, sigma_v=sigma_v_for(spec.variant, T),
+                            depth_L=spec.depth_L), spec.variant)
+               for spec in specs]
+    fulls = gram_family(train_X, members, threads=threads)
+    crosses = gram_cross_family(train_X, test_X, members, threads=threads)
+    return {spec: {SELECTOR_CK: (full.ck, cross.ck), SELECTOR_NTK: (full.ntk, cross.ntk)}
+            for spec, full, cross in zip(specs, fulls, crosses)}
+
+
+def _baseline_matrices(spec, train_X, test_X):
+    """{None: (train Gram, test-by-train cross Gram)} of an RBF or poly spec."""
     if isinstance(spec, RBFSpec):
         K = np.exp(-spec.gamma * _sq_dists(train_X, train_X))
         C = np.exp(-spec.gamma * _sq_dists(test_X, train_X))
@@ -343,19 +361,30 @@ def _predictions(configs, grid: HyperGrid, T: int, train_X, test_X, train_y,
                  label_set, threads):
     """Train every distinct configuration on one split and predict its test rows.
 
-    Returns ({config: predicted labels}, kernel computations). Configs run
-    in order; each spec's kernels are computed once and shared by both
-    selectors and every C, and each fit is seeded with the last model of
-    its (spec, selector), so with the ascending default C_set it starts
-    from the solution at the previous C. The Grams die on return.
+    Returns ({config: predicted labels}, distinct kernel specs). Configs
+    run in order. The first RNN spec of a (sigma_u, sigma_b) family brings
+    the kernels of every spec of that family in the configs, from one
+    family computation; each spec's kernels are shared by both selectors
+    and every C. Each fit is seeded with the last model of its (spec,
+    selector), so with the ascending default C_set it starts from the
+    solution at the previous C. The Grams die on return.
     """
+    families = {}
+    for spec, _, _ in configs:
+        if isinstance(spec, RNNKernelSpec):
+            families.setdefault((spec.sigma_u, spec.sigma_b), {})[spec] = None
     kernels, last_models, preds = {}, {}, {}
     for cfg in configs:
         if cfg in preds:
             continue
         spec, selector, C = cfg
         if spec not in kernels:
-            kernels[spec] = _kernel_matrices(spec, grid, T, train_X, test_X, threads)
+            if isinstance(spec, RNNKernelSpec):
+                kernels.update(_family_matrices(
+                    list(families[(spec.sigma_u, spec.sigma_b)]), grid, T,
+                    train_X, test_X, threads))
+            else:
+                kernels[spec] = _baseline_matrices(spec, train_X, test_X)
         K, cross = kernels[spec][selector]
         model = train_multiclass(K, train_y, C=C, label_set=label_set,
                                  warm_start=last_models.get((spec, selector)))

@@ -9,10 +9,17 @@ primitive is the arc-cosine expectation ``vphi`` and its derivative form
 ``vphi_prime``.
 
 All entries of a Gram matrix are independent scalar recursions. The batched
-engine runs them on square blocks of row pairs with 3L + 6 buffers updated in
-place, each block writing straight into its part of the outputs, so blocks may
-run concurrently. Self variances are computed once per row (O(N*T*L)). Memory
-is the outputs, those trajectories and one buffer set per running block.
+engine runs them on square blocks of row pairs with 3L + 4 buffers updated in
+place, plus two accumulators per readout, each block writing straight into its
+part of the outputs, so blocks may run concurrently. Self variances are
+computed once per row (O(N*T*L)). Memory is the outputs, those trajectories
+and one buffer set per running block.
+
+Layer l of a depth-L recursion does not depend on L, pooled kernels sum the
+per-step heads, and a bidirectional kernel is the forward pass plus the
+reversed pass. So every kernel that shares sigma_w, sigma_u and sigma_b (a
+family) is a readout of at most two recursions, which `gram_family` and
+`gram_cross_family` run once for all of them.
 """
 
 from __future__ import annotations
@@ -299,15 +306,15 @@ def kernel_pair(x, x_prime, params: HyperParams) -> PairOutputs:
     return PairOutputs(ck_last, ntk_last, ck_avg, ntk_avg)
 
 
-def _self_trajectory(X, cols, params: HyperParams) -> np.ndarray:
-    """Variance of every row's state at each step and layer, shape (T, L, N).
+def _self_trajectory(X, cols, params: HyperParams, depth: int) -> np.ndarray:
+    """Variance of every row's state at each step and layer, shape (T, depth, N).
 
     vphi of a self pair is half its variance (correlation 1): no vphi needed.
     """
     su2, sw2, sb2 = (v**2 for v in (params.sigma_u, params.sigma_w, params.sigma_b))
-    s = np.empty((len(cols), params.depth_L, X.shape[0]))
+    s = np.empty((len(cols), depth, X.shape[0]))
     for t, col in enumerate(cols):
-        for layer in range(params.depth_L):
+        for layer in range(depth):
             if layer == 0:
                 s[t, 0] = su2 * (X[:, col] * X[:, col]) + sb2
             else:
@@ -317,27 +324,57 @@ def _self_trajectory(X, cols, params: HyperParams) -> np.ndarray:
     return s
 
 
-def _block(Xa, Xb, ia, ib, passes, params: HyperParams, pooled: bool, ck, ntk, dst):
-    """Add the readouts of one block of (row of Xa, row of Xb) pairs to ck/ntk[dst].
+class Readout(NamedTuple):
+    """One kernel read off the layer-and-time recursion.
+
+    reverse picks the reversed-time pass, layer the 0-based layer whose head
+    is read (layer l of a deeper recursion is the top of a depth-(l + 1)
+    one), pooled sums the heads of every step instead of keeping the last,
+    sv2 is sigma_v^2 and output the index of the (ck, ntk) pair it adds to.
+    """
+
+    reverse: bool
+    layer: int
+    pooled: bool
+    sv2: float
+    output: int
+
+
+def _readouts(params: HyperParams, variant: Variant, output: int = 0) -> list[Readout]:
+    """The readouts of one kernel: a bidirectional one reads both passes."""
+    if variant.bidirectional:
+        directions = (False, True)
+    else:
+        directions = (variant.input_order is InputOrder.FLIPPED,)
+    return [Readout(reverse, params.depth_L - 1, variant.pooled, params.sigma_v**2, output)
+            for reverse in directions]
+
+
+def _block(Xa, Xb, ia, ib, passes, params: HyperParams, outputs, dst):
+    """Add the readouts of one block of (row of Xa, row of Xb) pairs to outputs[dst].
 
     ia and ib turn a per-row vector into two arrays that broadcast to the
     block: a column and a row (inputs enter as outer products), or the row
-    and column indices of a list of pairs. The 3L + 6 block buffers (psi,
-    vp, vpp per layer; covariance, two accumulators, vphi workspace) are
-    allocated once; each pass (direction) starts them from zeros, so step 0
-    adds zero carries, exactly.
+    and column indices of a list of pairs. The block buffers (psi, vp, vpp
+    per layer; covariance, vphi workspace, two accumulators per readout)
+    are allocated once; each pass (direction) starts them from zeros, so
+    step 0 adds zero carries, exactly.
     """
-    su2, sw2, sb2, sv2 = (
-        v**2 for v in (params.sigma_u, params.sigma_w, params.sigma_b, params.sigma_v))
-    L = params.depth_L
+    su2, sw2, sb2 = (v**2 for v in (params.sigma_u, params.sigma_w, params.sigma_b))
+    L = passes[0][1].shape[1]  # depth of the self trajectories: the deepest layer read
     shape = np.broadcast_shapes(Xa[:, 0][ia].shape, Xb[:, 0][ib].shape)
     psi, vp, vpp = ([np.empty(shape) for _ in range(L)] for _ in range(3))
-    sab, acc_ck, acc_ntk = np.empty(shape), np.empty(shape), np.empty(shape)
+    sab = np.empty(shape)
+    accs = [(np.empty(shape), np.empty(shape))
+            for _ in range(max(len(readouts) for *_, readouts in passes))]
     work = _workspace(shape)
     q, c, w, _ = work
-    for cols, saa, sbb in passes:
-        for buf in psi + vp + vpp + [acc_ck, acc_ntk]:
+    for cols, saa, sbb, readouts in passes:
+        for buf in psi + vp + vpp:
             buf.fill(0.0)
+        for acc_ck, acc_ntk in accs[:len(readouts)]:
+            acc_ck.fill(0.0)
+            acc_ntk.fill(0.0)
         for t, col in enumerate(cols):
             for layer in range(L):
                 if layer == 0:
@@ -360,16 +397,20 @@ def _block(Xa, Xb, ia, ib, passes, params: HyperParams, pooled: bool, ck, ntk, d
                 p += sab
                 _vphi_into(saa[t, layer][ia], sbb[t, layer][ib], sab,
                            vp[layer], vpp[layer], work)
-            if pooled or t == len(cols) - 1:
-                # ck_t = sv2 * vp_top, ntk_t = ck_t + sv2 * psi_top * vpp_top
-                np.multiply(vp[L - 1], sv2, out=c)
-                np.multiply(psi[L - 1], sv2, out=w)
-                w *= vpp[L - 1]
-                w += c
-                acc_ck += c
-                acc_ntk += w
-        ck[dst] += acc_ck
-        ntk[dst] += acc_ntk
+            last = t == len(cols) - 1
+            for r, (acc_ck, acc_ntk) in zip(readouts, accs):
+                if r.pooled or last:
+                    # ck_t = sv2 * vp_top, ntk_t = ck_t + sv2 * psi_top * vpp_top
+                    np.multiply(vp[r.layer], r.sv2, out=c)
+                    np.multiply(psi[r.layer], r.sv2, out=w)
+                    w *= vpp[r.layer]
+                    w += c
+                    acc_ck += c
+                    acc_ntk += w
+        for r, (acc_ck, acc_ntk) in zip(readouts, accs):
+            ck, ntk = outputs[r.output]
+            ck[dst] += acc_ck
+            ntk[dst] += acc_ntk
 
 
 def _resolve_threads(threads) -> int:
@@ -389,22 +430,32 @@ def _resolve_threads(threads) -> int:
     return count
 
 
-def _kernel_blocks(Xa, Xb, params: HyperParams, variant: Variant, tile_pairs, threads):
-    """CK and NTK of every (row of Xa, row of Xb) pair, block by block.
+def _kernel_blocks(Xa, Xb, params: HyperParams, readouts, tile_pairs, threads):
+    """CK and NTK of every (row of Xa, row of Xb) pair for each output, block by block.
 
-    Blocks are squares of edge isqrt(tile_pairs). When Xa is Xb only the
-    upper triangle runs (a diagonal block as the list of its pairs), mirrored.
+    params supplies sigma_w, sigma_u and sigma_b; the readouts supply the
+    rest. Returns one (ck, ntk) pair per output index. Only the directions
+    some readout reads are run, each up to the deepest layer read, and the
+    forward pass runs first. Blocks are squares of edge isqrt(tile_pairs).
+    When Xa is Xb only the upper triangle runs (a diagonal block as the list
+    of its pairs), mirrored.
     """
     if tile_pairs < 1:
         raise ValueError(f"tile_pairs must be at least 1, got {tile_pairs}")
     edge = max(1, math.isqrt(tile_pairs))
     symmetric = Xa is Xb
+    depth = 1 + max(r.layer for r in readouts)
+    forward = np.arange(Xa.shape[1])
     passes = []
-    for cols in _direction_passes(variant, Xa.shape[1]):
-        saa = _self_trajectory(Xa, cols, params)
-        passes.append((cols, saa, saa if symmetric else _self_trajectory(Xb, cols, params)))
+    for reverse, cols in ((False, forward), (True, forward[::-1])):
+        reads = [r for r in readouts if r.reverse is reverse]
+        if reads:
+            saa = _self_trajectory(Xa, cols, params, depth)
+            sbb = saa if symmetric else _self_trajectory(Xb, cols, params, depth)
+            passes.append((cols, saa, sbb, reads))
     na, nb = len(Xa), len(Xb)
-    ck, ntk = np.zeros((na, nb)), np.zeros((na, nb))
+    outputs = [(np.zeros((na, nb)), np.zeros((na, nb)))
+               for _ in range(1 + max(r.output for r in readouts))]
 
     def run_block(a: int, b: int):
         ra, rb = slice(a, min(a + edge, na)), slice(b, min(b + edge, nb))
@@ -412,10 +463,11 @@ def _kernel_blocks(Xa, Xb, params: HyperParams, variant: Variant, tile_pairs, th
         if symmetric and a == b:
             # a diagonal block runs the pairs of its upper triangle only
             dst = ia, ib = tuple(i + a for i in np.triu_indices(ra.stop - a))
-        _block(Xa, Xb, ia, ib, passes, params, variant.pooled, ck, ntk, dst)
+        _block(Xa, Xb, ia, ib, passes, params, outputs, dst)
         if symmetric:
-            ck[dst[::-1]] = ck[dst].T
-            ntk[dst[::-1]] = ntk[dst].T
+            for ck, ntk in outputs:
+                ck[dst[::-1]] = ck[dst].T
+                ntk[dst[::-1]] = ntk[dst].T
 
     blocks = [(a, b) for a in range(0, na, edge)
               for b in range(a if symmetric else 0, nb, edge)]
@@ -426,7 +478,7 @@ def _kernel_blocks(Xa, Xb, params: HyperParams, variant: Variant, tile_pairs, th
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_block, *zip(*blocks)))  # raises a block's exception
-    return ck, ntk
+    return outputs
 
 
 def _as_matrix(data, name: str = "dataset") -> np.ndarray:
@@ -441,15 +493,6 @@ def _as_matrix(data, name: str = "dataset") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return np.ascontiguousarray(arr)
-
-
-def _direction_passes(variant: Variant, T: int) -> list[np.ndarray]:
-    forward = np.arange(T)
-    if variant.bidirectional:
-        return [forward, forward[::-1]]
-    if variant.input_order is InputOrder.FLIPPED:
-        return [forward[::-1]]
-    return [forward]
 
 
 @dataclass(frozen=True)
@@ -491,20 +534,61 @@ def gram(data, params: HyperParams, variant: Variant = Variant(), *,
     tile_pairs is the number of pairs per square block.
     """
     X = _as_matrix(data)
-    ck, ntk = _kernel_blocks(X, X, params, variant, tile_pairs, threads)
+    (ck, ntk), = _kernel_blocks(X, X, params, _readouts(params, variant), tile_pairs, threads)
     return GramPair(ck=ck, ntk=ntk, params=params, variant=variant)
 
 
-def gram_cross(train, test, params: HyperParams, variant: Variant = Variant(), *,
-               tile_pairs: int = TILE_PAIRS, threads=None) -> CrossGram:
-    """Kernels between test rows and train rows: entry (i, j) = k(test_i, train_j)."""
+def _cross_inputs(train, test):
     Xtr = _as_matrix(train, "train")
     Xte = _as_matrix(test, "test")
     if Xtr.shape[1] != Xte.shape[1]:
         raise ShapeError(
             f"feature length mismatch: train T={Xtr.shape[1]}, test T={Xte.shape[1]}")
-    ck, ntk = _kernel_blocks(Xte, Xtr, params, variant, tile_pairs, threads)
+    return Xtr, Xte
+
+
+def gram_cross(train, test, params: HyperParams, variant: Variant = Variant(), *,
+               tile_pairs: int = TILE_PAIRS, threads=None) -> CrossGram:
+    """Kernels between test rows and train rows: entry (i, j) = k(test_i, train_j)."""
+    Xtr, Xte = _cross_inputs(train, test)
+    (ck, ntk), = _kernel_blocks(Xte, Xtr, params, _readouts(params, variant),
+                                tile_pairs, threads)
     return CrossGram(ck=ck, ntk=ntk, params=params, variant=variant)
+
+
+def _family(members) -> tuple[HyperParams, list[Readout]]:
+    """Shared params and readouts of (params, variant) members of one family."""
+    if not members:
+        raise ValueError("a kernel family needs at least one member")
+    shared = {(p.sigma_w, p.sigma_u, p.sigma_b) for p, _ in members}
+    if len(shared) > 1:
+        raise CompositionError("a kernel family must share sigma_w, sigma_u and sigma_b")
+    return members[0][0], [r for k, (params, variant) in enumerate(members)
+                           for r in _readouts(params, variant, k)]
+
+
+def gram_family(data, members, *, tile_pairs: int = TILE_PAIRS,
+                threads=None) -> list[GramPair]:
+    """`gram` of every (params, variant) member, all from one recursion.
+
+    The members share sigma_w, sigma_u and sigma_b; depth, sigma_v and
+    variant may differ. Each direction some member reads runs once, up to
+    the deepest layer, and every member reads its heads off it, so entry k
+    is bit for bit gram(data, *members[k]).
+    """
+    X = _as_matrix(data)
+    outputs = _kernel_blocks(X, X, *_family(members), tile_pairs, threads)
+    return [GramPair(ck=ck, ntk=ntk, params=params, variant=variant)
+            for (ck, ntk), (params, variant) in zip(outputs, members)]
+
+
+def gram_cross_family(train, test, members, *, tile_pairs: int = TILE_PAIRS,
+                      threads=None) -> list[CrossGram]:
+    """`gram_cross` of every (params, variant) member, as `gram_family` computes them."""
+    Xtr, Xte = _cross_inputs(train, test)
+    outputs = _kernel_blocks(Xte, Xtr, *_family(members), tile_pairs, threads)
+    return [CrossGram(ck=ck, ntk=ntk, params=params, variant=variant)
+            for (ck, ntk), (params, variant) in zip(outputs, members)]
 
 
 def flip(x):

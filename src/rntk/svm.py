@@ -99,8 +99,9 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
     alpha0, if given, is a feasible starting point (0 <= a <= C, y'a = 0);
     the gradient is then computed once from its support. The loop keeps
     F = -y * G itself and updates it with the rows P[k] = -y * Q[:, k],
-    which for y = +/-1 is bit for bit the update of G, and it changes only
-    entries i and j of the index sets each step.
+    which for y = +/-1 is bit for bit the update of G. The index sets are
+    penalty vectors (0 inside, -inf/+inf outside) added to F in place, and
+    each step changes only entries i and j of them.
     """
     N = K.shape[0]
     P = np.multiply(K.T, -y[:, None], order="C")
@@ -108,15 +109,16 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
     support = np.flatnonzero(a0)
     F = y + a0[support] @ P[support]
     pos = y > 0
-    up = np.where(pos, a0 < C, a0 > 0)
-    low = np.where(pos, a0 > 0, a0 < C)
+    pen_up = np.where(np.where(pos, a0 < C, a0 > 0), 0.0, -np.inf)
+    pen_low = np.where(np.where(pos, a0 > 0, a0 < C), 0.0, np.inf)
+    F_up, F_low, t1, t2 = (np.empty(N) for _ in range(4))
     alpha = a0.tolist()
     ys = y.tolist()
     diag = K.diagonal().tolist()
     for it in range(max_iter):
-        F_up = np.where(up, F, -np.inf)
+        np.add(F, pen_up, out=F_up)
         i = int(F_up.argmax())
-        F_low = np.where(low, F, np.inf)
+        np.add(F, pen_low, out=F_low)
         j = int(F_low.argmin())
         m, M = F_up[i], F_low[j]
         if m - M <= tol:
@@ -161,11 +163,18 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
                 if ai < 0.0:
                     ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
-        F += P[i] * (ai - old_i) + P[j] * (aj - old_j)
-        up[i] = ai < C if yi > 0 else ai > 0.0
-        low[i] = ai > 0.0 if yi > 0 else ai < C
-        up[j] = aj < C if yj > 0 else aj > 0.0
-        low[j] = aj > 0.0 if yj > 0 else aj < C
+        # F += P[i] * (ai - old_i) + P[j] * (aj - old_j), in this order
+        np.multiply(P[i], ai - old_i, out=t1)
+        np.multiply(P[j], aj - old_j, out=t2)
+        t1 += t2
+        F += t1
+        for k, a, yk in ((i, ai, yi), (j, aj, yj)):
+            if yk > 0:
+                pen_up[k] = 0.0 if a < C else -np.inf
+                pen_low[k] = 0.0 if a > 0.0 else np.inf
+            else:
+                pen_up[k] = 0.0 if a > 0.0 else -np.inf
+                pen_low[k] = 0.0 if a < C else np.inf
     return np.array(alpha), 0.0, max_iter, False
 
 
@@ -231,9 +240,10 @@ def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0) -> DualModel:
         lam_min = float(np.linalg.eigvalsh(K)[0])
         floor = -_PSD_FRACTION * max(np.trace(K), 0.0) / N
         if lam_min < floor:
-            warnings.warn(
-                f"gram is not PSD (min eigenvalue {lam_min:.3e}); retrying with "
-                f"diagonal jitter {abs(lam_min):.3e}", RuntimeWarning)
+            message = (f"gram is not PSD (min eigenvalue {lam_min:.3e}); retrying "
+                       f"with diagonal jitter {abs(lam_min):.3e}")
+            log.warning("%s", message)
+            warnings.warn(message, RuntimeWarning)
             jittered = K + abs(lam_min) * np.eye(N)
             alpha, bias, iters, converged = _smo_loop(jittered, y, C, tol, max_iter,
                                                       alpha0)
@@ -288,10 +298,10 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
         seed = seeds.get((a, b))
         alpha0 = None
         if isinstance(seed, DualModel) and seed.C <= C:
-            if not np.isin(seed.support_indices, idx).all():
+            pos = np.searchsorted(idx, seed.support_indices)
+            if (pos >= idx.size).any() or (idx[pos] != seed.support_indices).any():
                 raise ValueError(f"warm_start pair ({a}, {b}) has support vectors "
                                  "outside the pair: trained on other labels")
-            pos = np.searchsorted(idx, seed.support_indices)
             alpha0 = np.zeros(idx.size)
             alpha0[pos] = seed.alphas * y[pos]
         pair_model = _fit_pair(sub, y, C, tol, max_iter, (a, b), alpha0)

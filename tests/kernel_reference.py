@@ -16,9 +16,9 @@ from rntk.kernels import (
     CrossGram,
     GramPair,
     HyperParams,
+    InputOrder,
     Variant,
     _as_matrix,
-    _direction_passes,
     _resolve_threads,
 )
 
@@ -153,6 +153,15 @@ def _run_pairs(Xa, Xb, ia, ib, cols, params, tile_pairs, threads):
             for future in [pool.submit(run_tile, a, b) for a, b in tiles]:
                 future.result()
     return out
+
+
+def _direction_passes(variant: Variant, T: int) -> list[np.ndarray]:
+    forward = np.arange(T)
+    if variant.bidirectional:
+        return [forward, forward[::-1]]
+    if variant.input_order is InputOrder.FLIPPED:
+        return [forward[::-1]]
+    return [forward]
 
 
 def _select_heads(st_out, pooled: bool):

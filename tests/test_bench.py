@@ -5,12 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
-from rntk import Arch, ShapeError, Variant, bench
+from rntk import Arch, InputOrder, ShapeError, Variant, bench
 from rntk.bench import (
     BenchReport,
     Dataset,
     DatasetFormatError,
     HyperGrid,
+    RBFSpec,
     RNNKernelSpec,
     Splits,
     _method_configs,
@@ -230,46 +231,65 @@ def test_method_configs_counts():
 
 def test_predictions_share_kernels_and_free_them(monkeypatch):
     ds = make_dataset(1)
-    spec = RNNKernelSpec(Variant(Arch.RNN), 0.5, 0.1, 1)
-    configs = [(spec, sel, C) for sel in ("ck", "ntk") for C in (1.0, 100.0)]
+    shapes = ((Arch.RNN, InputOrder.DEFAULT, 1), (Arch.BI_RNN_AVG, InputOrder.DEFAULT, 2),
+              (Arch.RNN_AVG, InputOrder.FLIPPED, 2))
+    specs = [RNNKernelSpec(Variant(arch, order), su, 0.1, L)
+             for su in (0.5, 0.25) for arch, order, L in shapes]
+    configs = [(spec, sel, C) for spec in specs for sel in ("ck", "ntk")
+               for C in (1.0, 100.0)]
+    configs += [(RBFSpec(gamma=0.1), None, C) for C in (1.0, 100.0)]
     configs.insert(2, configs[0])
-    calls = {"gram": 0, "gram_cross": 0}
-    grams, seeds = [], []
-    real_gram, real_cross = bench.gram, bench.gram_cross
+    family_calls, cross_calls, grams, seeds = [], [], {}, []
+    real_family, real_cross = bench.gram_family, bench.gram_cross_family
     real_train = bench.train_multiclass
 
-    def spy_gram(*args, **kwargs):
-        calls["gram"] += 1
-        out = real_gram(*args, **kwargs)
-        grams.append((weakref.ref(out.ck), id(out.ck), id(out.ntk)))
+    def spec_of(params, variant):
+        assert params.sigma_v == sigma_v_for(variant, ds.T)
+        return RNNKernelSpec(variant, params.sigma_u, params.sigma_b, params.depth_L)
+
+    def spy_family(data, members, **kwargs):
+        out = real_family(data, members, **kwargs)
+        family_calls.append([spec_of(*m) for m in members])
+        for m, pair in zip(members, out):
+            grams[spec_of(*m)] = (weakref.ref(pair.ck), id(pair.ck), id(pair.ntk))
         return out
 
-    def spy_cross(*args, **kwargs):
-        calls["gram_cross"] += 1
-        return real_cross(*args, **kwargs)
+    def spy_cross(train, test, members, **kwargs):
+        cross_calls.append([spec_of(*m) for m in members])
+        return real_cross(train, test, members, **kwargs)
 
     def spy_train(gram, labels, C, **kwargs):
         model = real_train(gram, labels, C, **kwargs)
         seeds.append((kwargs["warm_start"], model, id(gram)))
         return model
 
-    monkeypatch.setattr(bench, "gram", spy_gram)
-    monkeypatch.setattr(bench, "gram_cross", spy_cross)
+    def one_spec_engine(*args, **kwargs):
+        raise AssertionError("the protocol computes RNN kernels by family only")
+
+    monkeypatch.setattr(bench, "gram_family", spy_family)
+    monkeypatch.setattr(bench, "gram_cross_family", spy_cross)
+    monkeypatch.setattr(bench, "gram", one_spec_engine)
+    monkeypatch.setattr(bench, "gram_cross", one_spec_engine)
     monkeypatch.setattr(bench, "train_multiclass", spy_train)
     preds, computed = _predictions(configs, SMALL_GRID, ds.T, ds.features[:8],
                                    ds.features[8:], ds.labels[:8], np.arange(2),
                                    threads=1)
-    # one kernel computation serves both selectors and every C
-    assert computed == 1 and calls == {"gram": 1, "gram_cross": 1}
-    assert len(seeds) == 4 and set(preds) == set(configs)
+    # one family computation per (sigma_u, sigma_b) serves all three of its
+    # specs; the count is still distinct specs (six RNN, one RBF)
+    assert computed == 7
+    assert family_calls == cross_calls == [specs[:3], specs[3:]]
+    distinct = list(dict.fromkeys(configs))
+    assert len(seeds) == len(distinct) and set(preds) == set(configs)
     assert all(p.shape == (8,) for p in preds.values())
     # each selector trains on its own Gram, seeded by its previous C's model
-    _, ck_id, ntk_id = grams[0]
-    assert [g for _, _, g in seeds] == [ck_id, ck_id, ntk_id, ntk_id]
-    assert seeds[0][0] is None and seeds[1][0] is seeds[0][1]
-    assert seeds[2][0] is None and seeds[3][0] is seeds[2][1]
+    last = {}
+    for (spec, sel, C), (warm, model, gram_id) in zip(distinct, seeds):
+        if sel is not None:
+            assert gram_id == grams[spec][1 if sel == "ck" else 2], (spec, sel, C)
+        assert warm is last.get((spec, sel)), (spec, sel, C)
+        last[(spec, sel)] = model
     # only one context's Grams live at a time: they die on return
-    assert grams[0][0]() is None
+    assert all(ref() is None for ref, _, _ in grams.values())
 
 
 def test_protocol_deterministic_and_counted():

@@ -14,6 +14,8 @@ from rntk import (
     flip,
     gram,
     gram_cross,
+    gram_cross_family,
+    gram_family,
     kernel_pair,
 )
 from rntk.kernels import TILE_PAIRS
@@ -278,6 +280,56 @@ def test_block_engine_matches_pair_engine_bit_for_bit():
                         assert np.array_equal(gp.ntk, ref.ntk), case
                         assert np.array_equal(cross.ck, ref_cross.ck), case
                         assert np.array_equal(cross.ntk, ref_cross.ntk), case
+
+
+def test_family_matches_gram_bit_for_bit():
+    # one family: every variant at depths 1, 2 and 3, each with its own
+    # sigma_v; the same zero and duplicated rows as the engine test above
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((13, 5))
+    X[4] = 0.0
+    X[9] = X[2]
+    Y = rng.standard_normal((6, 5))
+    Y[1] = X[2]
+    Y[3] = 0.0
+    for sigma_b in (0.1, 0.0):
+        members = [(HyperParams(sigma_u=0.5, sigma_b=sigma_b, sigma_v=0.3 + 0.1 * k,
+                                depth_L=depth), variant)
+                   for k, variant in enumerate(ALL_VARIANTS) for depth in (1, 2, 3)]
+        # gram itself does not depend on tiling or threads (tested above)
+        refs = [(gram(X, hp, variant, threads=1), gram_cross(X, Y, hp, variant, threads=1))
+                for hp, variant in members]
+        for tile_pairs in (1, 17, TILE_PAIRS):
+            for threads in (1, 4):
+                kw = dict(tile_pairs=tile_pairs, threads=threads)
+                family = gram_family(X, members, **kw)
+                crosses = gram_cross_family(X, Y, members, **kw)
+                assert len(family) == len(crosses) == len(members)
+                for (hp, variant), gp, cross, (ref, ref_cross) in zip(
+                        members, family, crosses, refs):
+                    case = (hp.depth_L, sigma_b, variant, tile_pairs, threads)
+                    assert (gp.params, gp.variant) == (hp, variant), case
+                    assert (cross.params, cross.variant) == (hp, variant), case
+                    assert np.array_equal(gp.ck, ref.ck), case
+                    assert np.array_equal(gp.ntk, ref.ntk), case
+                    assert np.array_equal(cross.ck, ref_cross.ck), case
+                    assert np.array_equal(cross.ntk, ref_cross.ntk), case
+
+
+def test_family_members_must_share_the_recursion():
+    X = np.ones((3, 2))
+    with pytest.raises(ValueError, match="at least one member"):
+        gram_family(X, [])
+    with pytest.raises(ValueError, match="at least one member"):
+        gram_cross_family(X, X[:2], [])
+    for other in (HyperParams(sigma_u=0.25, sigma_b=0.1),
+                  HyperParams(sigma_u=0.5, sigma_b=0.0),
+                  HyperParams(sigma_w=1.0, sigma_u=0.5, sigma_b=0.1)):
+        members = [(HP, Variant()), (other, Variant())]
+        with pytest.raises(CompositionError, match="share"):
+            gram_family(X, members)
+        with pytest.raises(CompositionError, match="share"):
+            gram_cross_family(X, X[:2], members)
 
 
 def test_peak_working_set_is_outputs_plus_blocks():

@@ -226,15 +226,21 @@ def test_convergence_error_without_warning():
             smo_train(gram, y, C=100.0, tol=1e-12, max_iter=2)
 
 
-def test_indefinite_gram_warns_on_stall():
+def test_indefinite_gram_warns_on_stall(caplog):
     rng = np.random.default_rng(53)
     A = rng.standard_normal((10, 10))
     K = 0.5 * (A + A.T)
     y = np.array([1.0, -1.0] * 5)
     assert np.linalg.eigvalsh(K)[0] < -1.0
-    with pytest.warns(RuntimeWarning, match="not PSD"):
-        with pytest.raises(ConvergenceError):
-            smo_train(K, y, C=1.0, tol=1e-12, max_iter=1)
+    with caplog.at_level("WARNING", logger="rntk.svm"):
+        with pytest.warns(RuntimeWarning, match="not PSD"):
+            with pytest.raises(ConvergenceError):
+                smo_train(K, y, C=1.0, tol=1e-12, max_iter=1)
+    # the jitter retry is logged as well as warned
+    records = [r for r in caplog.records if r.name == "rntk.svm"]
+    assert [r.levelname for r in records] == ["WARNING"]
+    assert "not PSD" in records[0].getMessage()
+    assert "diagonal jitter" in records[0].getMessage()
 
 
 def test_slightly_indefinite_gram_accepted_silently():
@@ -366,3 +372,17 @@ def test_warm_start_from_another_problem_rejected():
     # the same rows with the classes swapped: the seed's signs do not fit
     with pytest.raises(ValueError, match="box"):
         train_multiclass(gram, 1 - labels, C=2.0, warm_start=model)
+    # three classes: pair (0, 1) holds rows 0, 1, 3, 4, 6, 7, 9, 10; a seed
+    # support vector past its last row (11) or between two of its rows (5)
+    # belongs to another pair
+    labels3 = np.arange(12) % 3
+    model3 = train_multiclass(gram, labels3, C=1.0)
+    assert model3.models[0].class_pair == (0, 1)
+    for outside in (11, 5):
+        seed = DualModel(support_indices=np.array([0, outside]),
+                         alphas=np.array([0.5, -0.5]), bias=0.0, C=1.0,
+                         class_pair=(0, 1))
+        forged = MultiClassModel(models=(seed,) + model3.models[1:],
+                                 labels=model3.labels, n_train=12)
+        with pytest.raises(ValueError, match="outside the pair"):
+            train_multiclass(gram, labels3, C=2.0, warm_start=forged)
