@@ -80,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--sigma-v", type=float, default=None,
                    help="output scale; default derives from the variant")
     g.add_argument("--format", choices=["binary", "csv"], default="binary")
-    g.add_argument("--tile-pairs", type=_positive_int, default=None,
-                   help="pairs per square block (edge: its integer square root; "
-                        "default 65536, i.e. 256 x 256)")
     g.add_argument("--threads", type=_positive_int, default=None)
 
     v = sub.add_parser("verify", help="compare analytic kernels to sampled networks")
@@ -128,10 +125,7 @@ def cmd_gram(args) -> int:
         sigma_v = sigma_v_for(variant, dataset.T)
     params = HyperParams(sigma_w=args.sigma_w, sigma_u=args.sigma_u,
                          sigma_b=args.sigma_b, sigma_v=sigma_v, depth_L=args.L)
-    kwargs = {}
-    if args.tile_pairs is not None:
-        kwargs["tile_pairs"] = args.tile_pairs
-    pair = gram(dataset.features, params, variant, threads=args.threads, **kwargs)
+    pair = gram(dataset.features, params, variant, threads=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "binary":

@@ -35,8 +35,10 @@ import numpy as np
 
 _INV_2PI = 0.5 / np.pi
 
-# Default number of pairs per work block (a 256 x 256 block of a Gram matrix).
-TILE_PAIRS = 256 * 256
+# Edge of the square blocks of row pairs. It needs no tuning: at N=1000,
+# T=20, L=2, edges 128 and 256 ran within noise of each other and 64 was
+# ~25% slower (ROADMAP item 5).
+_BLOCK_EDGE = 256
 
 
 class ShapeError(ValueError):
@@ -113,7 +115,6 @@ class HyperParams:
     sigma_b: float = 0.1
     sigma_v: float = 1.0
     depth_L: int = 1
-    activation: str = "relu"
 
     def __post_init__(self):
         for name in ("sigma_w", "sigma_u", "sigma_b", "sigma_v"):
@@ -126,8 +127,6 @@ class HyperParams:
             raise ValueError("sigma_b must be nonnegative")
         if not isinstance(self.depth_L, int) or self.depth_L < 1:
             raise ValueError(f"depth_L must be a positive integer, got {self.depth_L!r}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -190,36 +189,6 @@ def _vphi_into(k1, k2, k3, vp, vpp, work):
         vpp[eq] = 0.5
 
 
-def _vphi_cov(cov: Cov2) -> tuple[float, float]:
-    k1, k2, k3 = (np.array(float(k)) for k in (cov.k1, cov.k2, cov.k3))
-    vp, vpp = np.empty(()), np.empty(())
-    _vphi_into(k1, k2, k3, vp, vpp, _workspace(()))
-    return float(vp), float(vpp)
-
-
-def vphi(cov: Cov2) -> float:
-    """E[relu(z1) * relu(z2)] for (z1, z2) ~ N(0, [[k1, k3], [k3, k2]]).
-
-    Closed form: (c*(pi - acos(c)) + sqrt(1 - c^2)) * sqrt(k1*k2) / (2*pi)
-    with c = k3 / sqrt(k1*k2) clamped to [-1, 1].
-    """
-    return _vphi_cov(cov)[0]
-
-
-def vphi_prime(cov: Cov2) -> float:
-    """E[relu'(z1) * relu'(z2)] = (pi - acos(c)) / (2*pi), c clamped to [-1, 1]."""
-    return _vphi_cov(cov)[1]
-
-
-class PairOutputs(NamedTuple):
-    """Kernels of one input pair: last-step and pooled readouts."""
-
-    ck_last: float
-    ntk_last: float
-    ck_avg: float
-    ntk_avg: float
-
-
 def _vphi_scalar(k1: float, k2: float, k3: float) -> tuple[float, float]:
     if k3 > 0.0 and k1 == k3 and k2 == k3:
         return 0.5 * k3, 0.5
@@ -230,6 +199,29 @@ def _vphi_scalar(k1: float, k2: float, k3: float) -> tuple[float, float]:
     ang = math.pi - math.acos(c)
     vp = (c * ang + math.sqrt(max(0.0, 1.0 - c * c))) * q / (2.0 * math.pi)
     return vp, ang / (2.0 * math.pi)
+
+
+def vphi(cov: Cov2) -> float:
+    """E[relu(z1) * relu(z2)] for (z1, z2) ~ N(0, [[k1, k3], [k3, k2]]).
+
+    Closed form: (c*(pi - acos(c)) + sqrt(1 - c^2)) * sqrt(k1*k2) / (2*pi)
+    with c = k3 / sqrt(k1*k2) clamped to [-1, 1].
+    """
+    return _vphi_scalar(cov.k1, cov.k2, cov.k3)[0]
+
+
+def vphi_prime(cov: Cov2) -> float:
+    """E[relu'(z1) * relu'(z2)] = (pi - acos(c)) / (2*pi), c clamped to [-1, 1]."""
+    return _vphi_scalar(cov.k1, cov.k2, cov.k3)[1]
+
+
+class PairOutputs(NamedTuple):
+    """Kernels of one input pair: last-step and pooled readouts."""
+
+    ck_last: float
+    ntk_last: float
+    ck_avg: float
+    ntk_avg: float
 
 
 def kernel_pair(x, x_prime, params: HyperParams) -> PairOutputs:
@@ -430,19 +422,17 @@ def _resolve_threads(threads) -> int:
     return count
 
 
-def _kernel_blocks(Xa, Xb, params: HyperParams, readouts, tile_pairs, threads):
+def _kernel_blocks(Xa, Xb, params: HyperParams, readouts, threads):
     """CK and NTK of every (row of Xa, row of Xb) pair for each output, block by block.
 
     params supplies sigma_w, sigma_u and sigma_b; the readouts supply the
     rest. Returns one (ck, ntk) pair per output index. Only the directions
     some readout reads are run, each up to the deepest layer read, and the
-    forward pass runs first. Blocks are squares of edge isqrt(tile_pairs).
-    When Xa is Xb only the upper triangle runs (a diagonal block as the list
-    of its pairs), mirrored.
+    forward pass runs first. Blocks are squares of edge _BLOCK_EDGE. When
+    Xa is Xb only the upper triangle runs (a diagonal block as the list of
+    its pairs), mirrored.
     """
-    if tile_pairs < 1:
-        raise ValueError(f"tile_pairs must be at least 1, got {tile_pairs}")
-    edge = max(1, math.isqrt(tile_pairs))
+    edge = _BLOCK_EDGE
     symmetric = Xa is Xb
     depth = 1 + max(r.layer for r in readouts)
     forward = np.arange(Xa.shape[1])
@@ -525,16 +515,15 @@ class CrossGram:
 
 
 def gram(data, params: HyperParams, variant: Variant = Variant(), *,
-         tile_pairs: int = TILE_PAIRS, threads=None) -> GramPair:
+         threads=None) -> GramPair:
     """Compute the CK/NTK Gram matrices of a dataset under one variant.
 
     Entry (i, j) matches `kernel_pair` on rows i and j with the variant's
     readout, input ordering, and sigma_v scaling applied. Only the upper
     triangle is computed; mirroring makes symmetry exact by construction.
-    tile_pairs is the number of pairs per square block.
     """
     X = _as_matrix(data)
-    (ck, ntk), = _kernel_blocks(X, X, params, _readouts(params, variant), tile_pairs, threads)
+    (ck, ntk), = _kernel_blocks(X, X, params, _readouts(params, variant), threads)
     return GramPair(ck=ck, ntk=ntk, params=params, variant=variant)
 
 
@@ -548,11 +537,10 @@ def _cross_inputs(train, test):
 
 
 def gram_cross(train, test, params: HyperParams, variant: Variant = Variant(), *,
-               tile_pairs: int = TILE_PAIRS, threads=None) -> CrossGram:
+               threads=None) -> CrossGram:
     """Kernels between test rows and train rows: entry (i, j) = k(test_i, train_j)."""
     Xtr, Xte = _cross_inputs(train, test)
-    (ck, ntk), = _kernel_blocks(Xte, Xtr, params, _readouts(params, variant),
-                                tile_pairs, threads)
+    (ck, ntk), = _kernel_blocks(Xte, Xtr, params, _readouts(params, variant), threads)
     return CrossGram(ck=ck, ntk=ntk, params=params, variant=variant)
 
 
@@ -567,8 +555,7 @@ def _family(members) -> tuple[HyperParams, list[Readout]]:
                            for r in _readouts(params, variant, k)]
 
 
-def gram_family(data, members, *, tile_pairs: int = TILE_PAIRS,
-                threads=None) -> list[GramPair]:
+def gram_family(data, members, *, threads=None) -> list[GramPair]:
     """`gram` of every (params, variant) member, all from one recursion.
 
     The members share sigma_w, sigma_u and sigma_b; depth, sigma_v and
@@ -577,16 +564,15 @@ def gram_family(data, members, *, tile_pairs: int = TILE_PAIRS,
     is bit for bit gram(data, *members[k]).
     """
     X = _as_matrix(data)
-    outputs = _kernel_blocks(X, X, *_family(members), tile_pairs, threads)
+    outputs = _kernel_blocks(X, X, *_family(members), threads)
     return [GramPair(ck=ck, ntk=ntk, params=params, variant=variant)
             for (ck, ntk), (params, variant) in zip(outputs, members)]
 
 
-def gram_cross_family(train, test, members, *, tile_pairs: int = TILE_PAIRS,
-                      threads=None) -> list[CrossGram]:
+def gram_cross_family(train, test, members, *, threads=None) -> list[CrossGram]:
     """`gram_cross` of every (params, variant) member, as `gram_family` computes them."""
     Xtr, Xte = _cross_inputs(train, test)
-    outputs = _kernel_blocks(Xte, Xtr, *_family(members), tile_pairs, threads)
+    outputs = _kernel_blocks(Xte, Xtr, *_family(members), threads)
     return [CrossGram(ck=ck, ntk=ntk, params=params, variant=variant)
             for (ck, ntk), (params, variant) in zip(outputs, members)]
 

@@ -25,9 +25,9 @@ class RNNWeights:
     """One concrete parameter draw. Entries are standard normal; the
     sigma/sqrt(width) scale factors are applied at use sites, not stored.
 
-    W[l]: (n, n) recurrent weights per layer; U[0]: (n, input_dim) and
-    U[l>=1]: (n, n) input weights; b[l]: (n,) biases; V: (T, n) output
-    heads, one independent row per time step.
+    W[l]: (n, n) recurrent weights per layer; U[0]: (n, 1) and U[l>=1]:
+    (n, n) input weights (inputs are one scalar per time step); b[l]: (n,)
+    biases; V: (T, n) output heads, one independent row per time step.
     """
 
     W: list
@@ -46,10 +46,6 @@ class RNNWeights:
     @property
     def T(self) -> int:
         return self.V.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.U[0].shape[1]
 
 
 @dataclass
@@ -84,19 +80,17 @@ class KernelEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def sample_rnn(params: HyperParams, width: int, input_dim: int = 1, T: int = 1,
-               seed=0) -> RNNWeights:
+def sample_rnn(params: HyperParams, width: int, T: int = 1, seed=0) -> RNNWeights:
     """Draw standard-normal weights for a depth-L RNN of the given width.
 
     Deterministic for a fixed seed; accepts an int or a SeedSequence.
     """
-    if width < 1 or T < 1 or input_dim < 1:
-        raise ValueError(
-            f"width, T, input_dim must be positive, got {width}, {T}, {input_dim}")
+    if width < 1 or T < 1:
+        raise ValueError(f"width and T must be positive, got {width}, {T}")
     rng = np.random.default_rng(seed)
     L = params.depth_L
     W = [rng.standard_normal((width, width)) for _ in range(L)]
-    U = [rng.standard_normal((width, input_dim))]
+    U = [rng.standard_normal((width, 1))]
     U += [rng.standard_normal((width, width)) for _ in range(L - 1)]
     b = [rng.standard_normal(width) for _ in range(L)]
     V = rng.standard_normal((T, width))
@@ -136,7 +130,7 @@ def _forward_cols(weights: RNNWeights, params: HyperParams, X, keep_g: bool = Fa
     for t in range(T):
         for layer in range(L):
             if layer == 0:
-                g = su1 * (weights.U[0][:, 0:1] @ X[t : t + 1, :])
+                g = su1 * (weights.U[0] @ X[t : t + 1, :])
             else:
                 g = su * (weights.U[layer] @ H[layer - 1, t + 1])
             g += sw * (weights.W[layer] @ H[layer, t])
@@ -182,13 +176,13 @@ def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel):
     return Delta
 
 
-def _inner_product(params: HyperParams, Delta, H, X,
-                   col_a: int, sel_a: int, col_b: int, sel_b: int,
-                   c_a, c_b) -> float:
+def _inner_product(params: HyperParams, Delta, H, X, sel_a: int, sel_b: int,
+                   Csel) -> float:
     """<grad f_a, grad f_b> assembled from per-layer Gram matrices.
 
-    f_a is the selector sel_a readout of batch column col_a (likewise b).
-    Never forms the flat gradient: each parameter block contributes
+    f_a is the readout Csel[:, sel_a] of batch column 0, f_b the readout
+    Csel[:, sel_b] of batch column 1. Never forms the flat gradient: each
+    parameter block contributes
     sum_{t,s} (delta_t . delta'_s) * (h_t . h'_s) with the appropriate
     sigma^2 / width scale, and the output block is diagonal in t because
     heads use independent weights.
@@ -202,22 +196,20 @@ def _inner_product(params: HyperParams, Delta, H, X,
 
     total = 0.0
     for layer in range(L):
-        Da = Delta[layer, :, :, col_a, sel_a]
-        Db = Delta[layer, :, :, col_b, sel_b]
+        Da = Delta[layer, :, :, 0, sel_a]
+        Db = Delta[layer, :, :, 1, sel_b]
         Md = Da @ Db.T
         # recurrent block: pairs h^{(layer, t-1)}, row 0 of H is the zero state
-        Mh = H[layer, :T, :, col_a] @ H[layer, :T, :, col_b].T
+        Mh = H[layer, :T, :, 0] @ H[layer, :T, :, 1].T
         total += (sw2 / n) * float((Md * Mh).sum())
         if layer == 0:
-            total += su2 * float(X[:, col_a] @ Md @ X[:, col_b])
+            total += su2 * float(X[:, 0] @ Md @ X[:, 1])
         else:
-            Mlow = H[layer - 1, 1:, :, col_a] @ H[layer - 1, 1:, :, col_b].T
+            Mlow = H[layer - 1, 1:, :, 0] @ H[layer - 1, 1:, :, 1].T
             total += (su2 / n) * float((Md * Mlow).sum())
         total += sb2 * float(Md.sum())
-    top_a = H[L - 1, 1:, :, col_a]
-    top_b = H[L - 1, 1:, :, col_b]
-    head_cov = (top_a * top_b).sum(axis=1)
-    total += (sv2 / n) * float((c_a * c_b * head_cov).sum())
+    head_cov = (H[L - 1, 1:, :, 0] * H[L - 1, 1:, :, 1]).sum(axis=1)
+    total += (sv2 / n) * float((Csel[:, sel_a] * Csel[:, sel_b] * head_cov).sum())
     return total
 
 
@@ -344,7 +336,7 @@ def _run_net(params, width, seed, X, Csel):
     Delta is None unless Csel selects readouts to backpropagate. The draw
     is dropped on return, so a caller holds at most one at a time.
     """
-    weights = sample_rnn(params, width, 1, X.shape[0], seed)
+    weights = sample_rnn(params, width, X.shape[0], seed)
     H, masks, heads, _ = _forward_cols(weights, params, X)
     Delta = None if Csel is None else _backward_cols(weights, params, H, masks, Csel)
     return H, heads, Delta
@@ -368,10 +360,8 @@ def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
     values[(Arch.RNN, _CK)] = float(last1[0] * last1[1])
     values[(Arch.RNN_AVG, _CK)] = float(sum1[0] * sum1[1])
     if need_ntk:
-        values[(Arch.RNN, _NTK)] = _inner_product(
-            params, D1, H1, x2, 0, 0, 1, 0, Csel[:, 0], Csel[:, 0])
-        values[(Arch.RNN_AVG, _NTK)] = _inner_product(
-            params, D1, H1, x2, 0, 1, 1, 1, Csel[:, 1], Csel[:, 1])
+        values[(Arch.RNN, _NTK)] = _inner_product(params, D1, H1, x2, 0, 0, Csel)
+        values[(Arch.RNN_AVG, _NTK)] = _inner_product(params, D1, H1, x2, 1, 1, Csel)
     if need_bi:
         xf2 = x2[::-1].copy()
         H2, heads2, D2 = _run_net(params, width, seed_pair[1], xf2, back)
@@ -385,10 +375,9 @@ def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
             # gradients of the two directions live in disjoint blocks, so
             # the bidirectional inner product is the exact two-term sum
             values[(Arch.BI_RNN, _NTK)] = values[(Arch.RNN, _NTK)] + _inner_product(
-                params, D2, H2, xf2, 0, 0, 1, 0, Csel[:, 0], Csel[:, 0])
-            values[(Arch.BI_RNN_AVG, _NTK)] = (
-                values[(Arch.RNN_AVG, _NTK)] + _inner_product(
-                    params, D2, H2, xf2, 0, 1, 1, 1, Csel[:, 1], Csel[:, 1]))
+                params, D2, H2, xf2, 0, 0, Csel)
+            values[(Arch.BI_RNN_AVG, _NTK)] = values[(Arch.RNN_AVG, _NTK)] + _inner_product(
+                params, D2, H2, xf2, 1, 1, Csel)
     return values
 
 
@@ -476,6 +465,5 @@ def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials:
     for i, child in enumerate(root.spawn(trials)):
         H, heads, Delta = _run_net(params, width, child, x2, Csel)
         prods[i] = heads[head_a, 0] * heads[head_b, 1]
-        inners[i] = _inner_product(params, Delta, H, x2,
-                                   0, 0, 1, 1, Csel[:, 0], Csel[:, 1])
+        inners[i] = _inner_product(params, Delta, H, x2, 0, 1, Csel)
     return _estimate(prods, width), _estimate(inners, width)

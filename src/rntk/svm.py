@@ -187,12 +187,6 @@ def _bias(F, y, alpha, C, m, M):
     return float(0.5 * (m + M))
 
 
-def _build_model(alpha, y, bias, C, class_pair) -> DualModel:
-    support = np.flatnonzero(alpha > 0.0)
-    return DualModel(support_indices=support, alphas=alpha[support] * y[support],
-                     bias=bias, C=C, class_pair=class_pair)
-
-
 def smo_train(gram, labels, C: float, tol: float = 1e-3,
               max_iter: int = 10_000_000, class_pair: tuple = (1, -1),
               alpha0=None) -> DualModel:
@@ -213,15 +207,17 @@ def smo_train(gram, labels, C: float, tol: float = 1e-3,
         raise ValueError("binary labels must be +1 or -1")
     if np.all(y > 0) or np.all(y < 0):
         raise DegenerateProblemError("training labels contain a single class")
-    return _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0)
+    return _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0, np.arange(K.shape[0]))
 
 
-def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0) -> DualModel:
+def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0, rows) -> DualModel:
     """`smo_train` on a Gram and +/-1 labels that have passed its checks.
 
     A principal block of a checked Gram passes the same elementwise
     symmetry test, so `train_multiclass` fits its pairs here without
-    scanning every block again. C and alpha0 are checked here.
+    scanning every block again. C and alpha0 are checked here. rows[k] is
+    the training-set position of row k of K, which the model's support
+    indices name.
     """
     if not (C > 0):
         raise ValueError("C must be positive")
@@ -250,7 +246,9 @@ def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0) -> DualModel:
         if not converged:
             raise ConvergenceError(
                 f"SMO did not converge within {max_iter} iterations (tol {tol})")
-    return _build_model(alpha, y, bias, C, class_pair)
+    support = np.flatnonzero(alpha > 0.0)
+    return DualModel(support_indices=rows[support], alphas=alpha[support] * y[support],
+                     bias=bias, C=C, class_pair=class_pair)
 
 
 def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
@@ -304,11 +302,7 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
                                  "outside the pair: trained on other labels")
             alpha0 = np.zeros(idx.size)
             alpha0[pos] = seed.alphas * y[pos]
-        pair_model = _fit_pair(sub, y, C, tol, max_iter, (a, b), alpha0)
-        models.append(DualModel(
-            support_indices=idx[pair_model.support_indices],
-            alphas=pair_model.alphas, bias=pair_model.bias,
-            C=pair_model.C, class_pair=(a, b)))
+        models.append(_fit_pair(sub, y, C, tol, max_iter, (a, b), alpha0, idx))
     return MultiClassModel(models=tuple(models),
                            labels=tuple(int(c) for c in full),
                            n_train=K.shape[0])

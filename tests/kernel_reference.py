@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from rntk.kernels import (
-    TILE_PAIRS,
     CrossGram,
     GramPair,
     HyperParams,
@@ -23,6 +22,9 @@ from rntk.kernels import (
 )
 
 _INV_2PI = 0.5 / np.pi
+
+# Pairs per tile: the old engine's default, one 256 x 256 block's worth.
+TILE_PAIRS = 256 * 256
 
 
 def _vphi_arrays(k1, k2, k3):

@@ -310,8 +310,8 @@ def test_criterion_08_bptt_matches_finite_differences(capsys):
             rng = np.random.default_rng((seed, L, T))
             x = rng.standard_normal(T)
             s1, s2 = np.random.SeedSequence((seed, L, T, 5)).spawn(2)
-            w1 = sample_rnn(params, width, 1, T, s1)
-            w2 = sample_rnn(params, width, 1, T, s2)
+            w1 = sample_rnn(params, width, T, s1)
+            w2 = sample_rnn(params, width, T, s2)
             n1 = flatten_rnn(w1).size
             both = np.concatenate([flatten_rnn(w1), flatten_rnn(w2)])
             for arch in ARCHS:

@@ -85,6 +85,9 @@ def test_usage_errors_exit_two(tmp_path):
         main(["gram", "--data", "d.csv", "--out", "g", "--variant", "mlp"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["gram", "--data", "d.csv", "--out", "g", "--tile-pairs", "4"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "--trials", "1"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:

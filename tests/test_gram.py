@@ -18,7 +18,7 @@ from rntk import (
     gram_family,
     kernel_pair,
 )
-from rntk.kernels import TILE_PAIRS
+from rntk import kernels
 
 from kernel_reference import reference_gram, reference_gram_cross
 
@@ -203,12 +203,13 @@ def test_gram_cross_single_row_matches_kernel_pair():
         assert cross.ntk[0, j] == pytest.approx(out.ntk_last, rel=1e-12)
 
 
-def test_tiling_and_threads_do_not_change_results():
+def test_tiling_and_threads_do_not_change_results(monkeypatch):
     rng = np.random.default_rng(24)
     X = rng.standard_normal((13, 4))
     base = gram(X, HP, Variant(Arch.RNN_AVG))
-    tiled = gram(X, HP, Variant(Arch.RNN_AVG), tile_pairs=17)
-    threaded = gram(X, HP, Variant(Arch.RNN_AVG), tile_pairs=17, threads=4)
+    monkeypatch.setattr(kernels, "_BLOCK_EDGE", 4)
+    tiled = gram(X, HP, Variant(Arch.RNN_AVG))
+    threaded = gram(X, HP, Variant(Arch.RNN_AVG), threads=4)
     assert np.array_equal(base.ck, tiled.ck)
     assert np.array_equal(base.ntk, tiled.ntk)
     assert np.array_equal(base.ck, threaded.ck)
@@ -228,13 +229,16 @@ def test_shape_errors():
         gram(np.array([[1.0, float("nan")]]), HP)
 
 
-def test_tile_pairs_below_one_rejected():
+def test_block_edge_is_not_a_setting():
     X = np.ones((3, 2))
-    for tile_pairs in (0, -5):
-        with pytest.raises(ValueError, match="tile_pairs"):
-            gram(X, HP, tile_pairs=tile_pairs)
-        with pytest.raises(ValueError, match="tile_pairs"):
-            gram_cross(X, X[:2], HP, tile_pairs=tile_pairs)
+    with pytest.raises(TypeError):
+        gram(X, HP, tile_pairs=16)
+    with pytest.raises(TypeError):
+        gram_cross(X, X[:2], HP, tile_pairs=16)
+    with pytest.raises(TypeError):
+        gram_family(X, [(HP, Variant())], tile_pairs=16)
+    with pytest.raises(TypeError):
+        gram_cross_family(X, X[:2], [(HP, Variant())], tile_pairs=16)
 
 
 def test_threads_below_one_rejected(monkeypatch):
@@ -253,8 +257,8 @@ def test_threads_below_one_rejected(monkeypatch):
     assert np.array_equal(gram(X, HP, threads=1).ck, gram(X, HP, threads=2).ck)
 
 
-def test_block_engine_matches_pair_engine_bit_for_bit():
-    # 13 rows: not a multiple of the block edge 4 (tile_pairs=17); a zero row
+def test_block_engine_matches_pair_engine_bit_for_bit(monkeypatch):
+    # 13 rows: not a multiple of the block edge 4; a zero row
     # (zero variance when sigma_b = 0), duplicated rows (the c = 1 pin fires
     # off the diagonal) and a test row equal to a train row
     rng = np.random.default_rng(28)
@@ -270,19 +274,19 @@ def test_block_engine_matches_pair_engine_bit_for_bit():
             for variant in ALL_VARIANTS:
                 ref = reference_gram(X, hp, variant)
                 ref_cross = reference_gram_cross(X, Y, hp, variant)
-                for tile_pairs in (1, 17, TILE_PAIRS):
+                for edge in (1, 4, 256):
+                    monkeypatch.setattr(kernels, "_BLOCK_EDGE", edge)
                     for threads in (1, 4):
-                        kw = dict(tile_pairs=tile_pairs, threads=threads)
-                        gp = gram(X, hp, variant, **kw)
-                        cross = gram_cross(X, Y, hp, variant, **kw)
-                        case = (depth, sigma_b, variant, tile_pairs, threads)
+                        gp = gram(X, hp, variant, threads=threads)
+                        cross = gram_cross(X, Y, hp, variant, threads=threads)
+                        case = (depth, sigma_b, variant, edge, threads)
                         assert np.array_equal(gp.ck, ref.ck), case
                         assert np.array_equal(gp.ntk, ref.ntk), case
                         assert np.array_equal(cross.ck, ref_cross.ck), case
                         assert np.array_equal(cross.ntk, ref_cross.ntk), case
 
 
-def test_family_matches_gram_bit_for_bit():
+def test_family_matches_gram_bit_for_bit(monkeypatch):
     # one family: every variant at depths 1, 2 and 3, each with its own
     # sigma_v; the same zero and duplicated rows as the engine test above
     rng = np.random.default_rng(31)
@@ -296,18 +300,18 @@ def test_family_matches_gram_bit_for_bit():
         members = [(HyperParams(sigma_u=0.5, sigma_b=sigma_b, sigma_v=0.3 + 0.1 * k,
                                 depth_L=depth), variant)
                    for k, variant in enumerate(ALL_VARIANTS) for depth in (1, 2, 3)]
-        # gram itself does not depend on tiling or threads (tested above)
+        # gram itself does not depend on the block edge or threads (tested above)
         refs = [(gram(X, hp, variant, threads=1), gram_cross(X, Y, hp, variant, threads=1))
                 for hp, variant in members]
-        for tile_pairs in (1, 17, TILE_PAIRS):
+        for edge in (1, 4, 256):
+            monkeypatch.setattr(kernels, "_BLOCK_EDGE", edge)
             for threads in (1, 4):
-                kw = dict(tile_pairs=tile_pairs, threads=threads)
-                family = gram_family(X, members, **kw)
-                crosses = gram_cross_family(X, Y, members, **kw)
+                family = gram_family(X, members, threads=threads)
+                crosses = gram_cross_family(X, Y, members, threads=threads)
                 assert len(family) == len(crosses) == len(members)
                 for (hp, variant), gp, cross, (ref, ref_cross) in zip(
                         members, family, crosses, refs):
-                    case = (hp.depth_L, sigma_b, variant, tile_pairs, threads)
+                    case = (hp.depth_L, sigma_b, variant, edge, threads)
                     assert (gp.params, gp.variant) == (hp, variant), case
                     assert (cross.params, cross.variant) == (hp, variant), case
                     assert np.array_equal(gp.ck, ref.ck), case
@@ -332,13 +336,14 @@ def test_family_members_must_share_the_recursion():
             gram_cross_family(X, X[:2], members)
 
 
-def test_peak_working_set_is_outputs_plus_blocks():
+def test_peak_working_set_is_outputs_plus_blocks(monkeypatch):
     # tracemalloc peak of one call = the two outputs + the per-row self
     # trajectories (T * L * N per direction) + a fixed per-block allowance:
     # 3L + 6 block-sized buffers plus slack for numpy's own scratch, which
     # is the same at T = 2 and T = 48. Index arrays over all pairs (16
     # bytes per pair) and flat per-pair outputs would exceed it.
     N, edge = 300, 64
+    monkeypatch.setattr(kernels, "_BLOCK_EDGE", edge)
     block = edge * edge * 8
     rng = np.random.default_rng(30)
     for depth in (1, 3):
@@ -350,7 +355,7 @@ def test_peak_working_set_is_outputs_plus_blocks():
                 X = rng.standard_normal((N, T))
                 tracemalloc.start()
                 try:
-                    gram(X, hp, variant, tile_pairs=edge * edge, threads=1)
+                    gram(X, hp, variant, threads=1)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()

@@ -144,5 +144,3 @@ def test_hyperparams_validation():
         HyperParams(depth_L=0)
     with pytest.raises(ValueError):
         HyperParams(sigma_v=float("inf"))
-    with pytest.raises(ValueError):
-        HyperParams(activation="tanh")

@@ -32,12 +32,12 @@ ALL_VARIANTS = [
 
 
 def test_sample_shapes():
-    w = sample_rnn(HP, width=5, input_dim=1, T=3, seed=0)
+    w = sample_rnn(HP, width=5, T=3, seed=0)
     assert len(w.W) == 2 and all(m.shape == (5, 5) for m in w.W)
     assert w.U[0].shape == (5, 1) and w.U[1].shape == (5, 5)
     assert all(b.shape == (5,) for b in w.b)
     assert w.V.shape == (3, 5)
-    assert w.width == 5 and w.depth_L == 2 and w.T == 3 and w.input_dim == 1
+    assert w.width == 5 and w.depth_L == 2 and w.T == 3
 
 
 def test_sample_deterministic():
@@ -249,8 +249,8 @@ def test_suite_crosscheck_structured_inner_vs_flat_gradients():
     totals = {arch: [] for arch, kind in suite if kind == "ntk"}
     for child in root.spawn(2):
         pair = child.spawn(2)
-        w1 = sample_rnn(params, 12, 1, 4, pair[0])
-        w2 = sample_rnn(params, 12, 1, 4, pair[1])
+        w1 = sample_rnn(params, 12, 4, pair[0])
+        w2 = sample_rnn(params, 12, 4, pair[1])
         for arch in totals:
             variant = Variant(arch)
             w2_arg = w2 if variant.bidirectional else None
@@ -313,7 +313,7 @@ def test_cross_head_holds_one_draw_at_a_time():
     params = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=2)
     x = np.array([0.8, -0.6, 0.3, 0.5, -0.2])
     xp = np.array([0.1, 0.9, -0.7, 0.4, 0.6])
-    draw = sample_rnn(params, 800, 1, x.size, seed=0)
+    draw = sample_rnn(params, 800, x.size, seed=0)
     draw_bytes = sum(a.nbytes for a in draw.W + draw.U + draw.b + [draw.V])
     del draw
     tracemalloc.start()

@@ -199,6 +199,23 @@ def test_pair_fits_skip_the_sub_gram_check(monkeypatch):
         assert ref.bias == pair.bias
 
 
+def test_each_pair_model_is_built_once(monkeypatch):
+    # one DualModel (and one run of its checks) per pair fit, already on
+    # training-set indices; the pair with an absent class votes constant
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((24, 2))
+    labels = np.repeat([0, 1, 2], 8)
+    X += labels[:, None] * 1.5
+    built = []
+    inner = DualModel.__post_init__
+    monkeypatch.setattr(DualModel, "__post_init__",
+                        lambda self: built.append(self.class_pair) or inner(self))
+    model = train_multiclass(rbf_gram(X), labels, C=1.0, label_set=[0, 1, 2, 3])
+    fitted = [m.class_pair for m in model.models if isinstance(m, DualModel)]
+    assert fitted == [(0, 1), (0, 2), (1, 2)]
+    assert built == fitted
+
+
 def test_missing_class_becomes_constant_vote(caplog):
     gram = np.eye(5)
     labels = np.array([0, 0, 0, 1, 1])
@@ -274,9 +291,9 @@ def record_seeds(monkeypatch):
     seeded = []
     inner = svm._fit_pair
 
-    def spy(K, y, C, tol, max_iter, class_pair, alpha0):
+    def spy(K, y, C, tol, max_iter, class_pair, alpha0, rows):
         seeded.append(alpha0 is not None)
-        return inner(K, y, C, tol, max_iter, class_pair, alpha0)
+        return inner(K, y, C, tol, max_iter, class_pair, alpha0, rows)
 
     monkeypatch.setattr(svm, "_fit_pair", spy)
     return seeded
