@@ -27,8 +27,8 @@ from .bench import (
     sigma_v_for,
 )
 from .gram_io import KIND_CK, KIND_NTK, write_gram, write_gram_csv
-from .kernels import Arch, HyperParams, InputOrder, Variant, flip, gram, kernel_pair
-from .oracle import empirical_suite
+from .kernels import Arch, HyperParams, InputOrder, Variant, gram
+from .oracle import analytic_suite, empirical_suite
 
 _ARCH_NAMES = [a.value for a in Arch]
 _ORDER_NAMES = [o.value for o in InputOrder]
@@ -155,21 +155,15 @@ def cmd_verify(args) -> int:
             trial_ss = np.random.SeedSequence((args.seed, T, L))
             suite = empirical_suite(x, xp, params, width=args.width,
                                     trials=args.trials, seed=trial_ss)
-            fwd = kernel_pair(x, xp, params)
-            bwd = kernel_pair(flip(x), flip(xp), params)
-            analytic = {
-                (Arch.RNN, "ck"): fwd.ck_last,
-                (Arch.RNN, "ntk"): fwd.ntk_last,
-                (Arch.RNN_AVG, "ck"): fwd.ck_avg,
-                (Arch.RNN_AVG, "ntk"): fwd.ntk_avg,
-                (Arch.BI_RNN, "ck"): fwd.ck_last + bwd.ck_last,
-                (Arch.BI_RNN, "ntk"): fwd.ntk_last + bwd.ntk_last,
-                (Arch.BI_RNN_AVG, "ck"): fwd.ck_avg + bwd.ck_avg,
-                (Arch.BI_RNN_AVG, "ntk"): fwd.ntk_avg + bwd.ntk_avg,
-            }
+            analytic = analytic_suite(x, xp, params)
             for (arch, kind), expected in analytic.items():
                 est = suite[(arch, kind)]
-                z = (est.mean - expected) / est.stderr if est.stderr > 0 else 0.0
+                diff = est.mean - expected
+                if est.stderr > 0:
+                    z = diff / est.stderr
+                else:
+                    # every trial gave the same value: exact agreement or none
+                    z = math.copysign(math.inf, diff) if diff != 0 else 0.0
                 rows.append({
                     "variant": arch.value, "kind": kind, "L": L, "T": T,
                     "analytic": expected, "empirical_mean": est.mean,

@@ -7,6 +7,14 @@ independent weight draws. Pair estimators push both inputs through the
 same weights as a two-column batch, and gradient inner products are
 assembled blockwise from hidden-state and delta Gram matrices, so wide
 networks never materialize a flat gradient.
+
+The estimators never draw an n x n weight matrix in full. One trial
+touches each of them only through a few dozen products with vectors that
+depend on earlier answers, and `_LazyGaussian` samples exactly those
+products, in law, by Gaussian conditioning (Bolthausen 2014; Yang,
+arXiv 1902.04760): O(n k) work and memory for k products instead of
+O(n^2). `sample_rnn`, `forward` and `gradient` work on dense draws,
+because finite differences and flat gradients need real matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import Arch, HyperParams, InputOrder, ShapeError, Variant
+from .kernels import Arch, HyperParams, InputOrder, ShapeError, Variant, flip, kernel_pair
 
 
 @dataclass
@@ -28,6 +36,11 @@ class RNNWeights:
     W[l]: (n, n) recurrent weights per layer; U[0]: (n, 1) and U[l>=1]:
     (n, n) input weights (inputs are one scalar per time step); b[l]: (n,)
     biases; V: (T, n) output heads, one independent row per time step.
+
+    `sample_rnn` fills every entry with dense arrays, as `forward`,
+    `gradient` and `flatten_rnn` need. Inside the Monte Carlo estimators
+    W[l] and U[l>=1] are `_LazyGaussian` operators instead, which support
+    only `@` and `.T @`, the two products the recursion uses.
     """
 
     W: list
@@ -94,6 +107,109 @@ def sample_rnn(params: HyperParams, width: int, T: int = 1, seed=0) -> RNNWeight
     U += [rng.standard_normal((width, width)) for _ in range(L - 1)]
     b = [rng.standard_normal(width) for _ in range(L)]
     V = rng.standard_normal((T, width))
+    return RNNWeights(W=W, U=U, b=b, V=V)
+
+
+# a query whose part outside the known directions is this small, relative
+# to the query, is answered from the known images alone
+_IN_SPAN = 1e-13
+
+
+class _LazyGaussian:
+    """An n x n matrix W of iid standard normals, drawn only where queried.
+
+    Every answer so far is kept as orthonormal directions with their
+    images: rows q_i with y_i = W q_i (right products) and rows r_i with
+    z_i = W.T r_i (left products). A new query v splits into its part in
+    the known directions, answered from the images, and a unit remainder
+    q. Given every earlier answer, W q is exactly
+    R (Z.T q) + (I - R R.T) g with fresh g ~ N(0, I_n), so each answer
+    follows the law of a dense draw, and backward products stay
+    conditioned on forward ones. `.T` answers left products the same way
+    with the two sides swapped. Fresh normals come from `rng`, one
+    `standard_normal(n)` per new direction, in query order.
+    """
+
+    def __init__(self, n: int, rng):
+        self.shape = (n, n)
+        self._rng = rng
+        # side 0: right products (Q, Y); side 1: left products (R, Z)
+        self._known = [0, 0]
+        self._dirs = [np.empty((0, n)), np.empty((0, n))]
+        self._images = [np.empty((0, n)), np.empty((0, n))]
+
+    @property
+    def T(self):
+        # built per access: a stored back reference would make a cycle
+        # that keeps a dropped draw alive until the garbage collector runs
+        return _Transposed(self)
+
+    def __matmul__(self, V):
+        return self._apply(0, V)
+
+    def _apply(self, side, V):
+        out = np.empty(V.shape)
+        for j in range(V.shape[1]):
+            out[:, j] = self._answer(side, V[:, j])
+        return out
+
+    def _answer(self, side, v):
+        k = self._known[side]
+        Q, Y = self._dirs[side][:k], self._images[side][:k]
+        c = Q @ v
+        r = v - c @ Q
+        again = Q @ r  # one re-orthogonalisation pass
+        r -= again @ Q
+        c += again
+        norm = math.sqrt(float(r @ r))
+        if norm <= _IN_SPAN * math.sqrt(float(v @ v)):
+            return c @ Y
+        q = r / norm
+        other = 1 - side
+        m = self._known[other]
+        R, Z = self._dirs[other][:m], self._images[other][:m]
+        g = self._rng.standard_normal(q.size)
+        image = (Z @ q) @ R + g - (R @ g) @ R
+        self._append(side, q, image)
+        return c @ Y + norm * image
+
+    def _append(self, side, q, image):
+        k = self._known[side]
+        if k == self._dirs[side].shape[0]:
+            # double the row capacity, so appends cost O(n) amortised
+            for store in (self._dirs, self._images):
+                grown = np.empty((max(8, 2 * k), self.shape[0]))
+                grown[:k] = store[side]
+                store[side] = grown
+        self._dirs[side][k] = q
+        self._images[side][k] = image
+        self._known[side] = k + 1
+
+
+class _Transposed:
+    """W.T of a `_LazyGaussian`: `W.T @ V` answers left products of W."""
+
+    def __init__(self, op: _LazyGaussian):
+        self._op = op
+
+    def __matmul__(self, V):
+        return self._op._apply(1, V)
+
+
+def _lazy_rnn(params: HyperParams, width: int, T: int, seed) -> RNNWeights:
+    """An RNN draw whose n x n matrices are `_LazyGaussian` operators.
+
+    U[0], each b[l] and V (O(n T) entries) are drawn up front, in that
+    order, from one generator; the lazy operators then draw from the
+    same generator as they are queried.
+    """
+    rng = np.random.default_rng(seed)
+    L = params.depth_L
+    U0 = rng.standard_normal((width, 1))
+    b = [rng.standard_normal(width) for _ in range(L)]
+    V = rng.standard_normal((T, width))
+    W = [_LazyGaussian(width, rng) for _ in range(L)]
+    U = [U0] + [_LazyGaussian(width, rng) for _ in range(L - 1)]
     return RNNWeights(W=W, U=U, b=b, V=V)
 
 
@@ -331,12 +447,12 @@ _NTK = "ntk"
 
 
 def _run_net(params, width, seed, X, Csel):
-    """(H, heads, Delta) of a (T, B) batch X through one fresh draw.
+    """(H, heads, Delta) of a (T, B) batch X through one fresh lazy draw.
 
     Delta is None unless Csel selects readouts to backpropagate. The draw
     is dropped on return, so a caller holds at most one at a time.
     """
-    weights = sample_rnn(params, width, X.shape[0], seed)
+    weights = _lazy_rnn(params, width, X.shape[0], seed)
     H, masks, heads, _ = _forward_cols(weights, params, X)
     Delta = None if Csel is None else _backward_cols(weights, params, H, masks, Csel)
     return H, heads, Delta
@@ -412,6 +528,27 @@ def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int,
         rows.append(_suite_trial(x2, params, width, pair, need_bi, need_ntk))
     keys = list(rows[0])
     return {key: _estimate(np.array([r[key] for r in rows]), width) for key in keys}
+
+
+def analytic_suite(x, x_prime, params: HyperParams):
+    """The infinite-width values that `empirical_suite` estimates.
+
+    Returns {(Arch, "ck"|"ntk"): float} with the same keys: the
+    bidirectional kernels add the reversed-direction pass to the forward
+    one.
+    """
+    fwd = kernel_pair(x, x_prime, params)
+    bwd = kernel_pair(flip(x), flip(x_prime), params)
+    return {
+        (Arch.RNN, _CK): fwd.ck_last,
+        (Arch.RNN, _NTK): fwd.ntk_last,
+        (Arch.RNN_AVG, _CK): fwd.ck_avg,
+        (Arch.RNN_AVG, _NTK): fwd.ntk_avg,
+        (Arch.BI_RNN, _CK): fwd.ck_last + bwd.ck_last,
+        (Arch.BI_RNN, _NTK): fwd.ntk_last + bwd.ntk_last,
+        (Arch.BI_RNN_AVG, _CK): fwd.ck_avg + bwd.ck_avg,
+        (Arch.BI_RNN_AVG, _NTK): fwd.ntk_avg + bwd.ntk_avg,
+    }
 
 
 def _single_variant(x, x_prime, params, variant, width, trials, seed, kind):

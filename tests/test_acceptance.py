@@ -5,9 +5,12 @@ measured margin, then asserts. Criterion 10 is informational only: its
 line reports whether timing ratios fall in the expected bands, but the
 test never fails on them.
 
-Seeds are pinned after scanning several candidates at full scale; the
-Monte Carlo criteria (1, 2) hold for typical seeds and the pinned ones
-carry the widest observed margin.
+Seeds are fixed. The Monte Carlo criteria (1, 2) gate a maximum of many
+|z| statistics at 3, so some seeds exceed it even on exact kernels:
+criterion 01 checks 32 entries, and if they were independent with 49
+degrees of freedom each, about 12.6% of seeds would read above 3
+(P(|t_49| > 3) is about 0.42%). Over seeds 0-19 at criterion 01's width,
+trials and cells, 3 read above 3 (2.5 expected), and seed 0 reads 2.75.
 """
 
 import math
@@ -21,10 +24,10 @@ from rntk import (
     Cov2,
     HyperParams,
     Variant,
+    analytic_suite,
     compose_bidirectional,
     empirical_cross_head,
     empirical_suite,
-    flip,
     gram,
     kernel_pair,
     sample_rnn,
@@ -49,21 +52,6 @@ def _report(capsys, num, label, ok, detail):
         print(f"\n[criterion {num:02d}] {label}: {status} ({detail})")
 
 
-def _analytic_table(x, xp, params):
-    fwd = kernel_pair(x, xp, params)
-    bwd = kernel_pair(flip(x), flip(xp), params)
-    return {
-        (Arch.RNN, "ck"): fwd.ck_last,
-        (Arch.RNN, "ntk"): fwd.ntk_last,
-        (Arch.RNN_AVG, "ck"): fwd.ck_avg,
-        (Arch.RNN_AVG, "ntk"): fwd.ntk_avg,
-        (Arch.BI_RNN, "ck"): fwd.ck_last + bwd.ck_last,
-        (Arch.BI_RNN, "ntk"): fwd.ntk_last + bwd.ntk_last,
-        (Arch.BI_RNN_AVG, "ck"): fwd.ck_avg + bwd.ck_avg,
-        (Arch.BI_RNN_AVG, "ntk"): fwd.ntk_avg + bwd.ntk_avg,
-    }
-
-
 def test_criterion_01_finite_width_oracle_agreement(capsys):
     seed = 0
     width, trials = 4000, 50
@@ -78,7 +66,7 @@ def test_criterion_01_finite_width_oracle_agreement(capsys):
             xp = rng.standard_normal(T)
             x /= np.linalg.norm(x)
             xp /= np.linalg.norm(xp)
-            expected = _analytic_table(x, xp, params)
+            expected = analytic_suite(x, xp, params)
             ss = np.random.SeedSequence((seed, L, T, 17))
             est = empirical_suite(x, xp, params, width=width, trials=trials,
                                   seed=ss)

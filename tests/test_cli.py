@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rntk import HyperParams, Variant, gram
+from rntk import Arch, HyperParams, KernelEstimate, Variant, analytic_suite, cli, gram
 from rntk.cli import main
 from rntk.gram_io import read_gram
 
@@ -114,6 +114,32 @@ def test_verify_command_small_run(tmp_path):
     main(["verify", "--width", "200", "--trials", "60", "--seed", "7",
           "--L-list", "1", "--T-list", "2", "--out", str(second)])
     assert report_path.read_text() == second.read_text()
+
+
+def test_verify_fails_a_zero_variance_row_off_the_analytic_value(
+        tmp_path, monkeypatch, capsys):
+    # at tiny widths every sampled output can be 0: stderr 0 passes only
+    # a mean equal to the analytic value
+    exact = (Arch.RNN, "ck")
+
+    def constant_suite(x, xp, params, width, trials, seed):
+        analytic = analytic_suite(x, xp, params)
+        return {key: KernelEstimate(mean=value if key == exact else 0.0, stderr=0.0,
+                                    trials=trials, width=width)
+                for key, value in analytic.items()}
+
+    monkeypatch.setattr(cli, "empirical_suite", constant_suite)
+    out = tmp_path / "r.json"
+    code = main(["verify", "--width", "2", "--trials", "5", "--L-list", "1",
+                 "--T-list", "2", "--out", str(out)])
+    assert code == 1
+    assert "inf" in capsys.readouterr().err
+    rows = json.loads(out.read_text())["rows"]
+    for row in rows:
+        if (row["variant"], row["kind"]) == ("rnn", "ck"):
+            assert row["pass"] and row["z_score"] == 0.0
+        else:
+            assert not row["pass"] and abs(row["z_score"]) == float("inf")
 
 
 def test_verify_width_convergence(tmp_path, capsys):

@@ -7,6 +7,11 @@ import pytest
 from rntk import Arch, HyperParams, ShapeError, Variant, flip, kernel_pair
 from rntk.oracle import (
     RNNWeights,
+    _backward_cols,
+    _forward_cols,
+    _lazy_rnn,
+    _LazyGaussian,
+    _selectors,
     empirical_ck,
     empirical_cross_head,
     empirical_ntk,
@@ -17,6 +22,7 @@ from rntk.oracle import (
     sample_rnn,
     unflatten_rnn,
 )
+from lazy_completion import complete
 
 HP = HyperParams(sigma_u=0.5, sigma_b=0.1, sigma_v=0.9, depth_L=2)
 HP1 = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=1)
@@ -238,19 +244,81 @@ def test_empirical_rejects_single_trial():
         empirical_ck(x, x, HP, Variant(Arch.RNN), width=10, trials=1)
 
 
+def _completed(weights, rng):
+    """Dense weights that agree with every answer a lazy draw has given."""
+    def dense(m):
+        return m if isinstance(m, np.ndarray) else complete(m, rng)
+    return RNNWeights(W=[dense(w) for w in weights.W], U=[dense(u) for u in weights.U],
+                      b=weights.b, V=weights.V)
+
+
+def _lazy_run(params, width, seed, X, Csel):
+    """A lazy draw queried as one estimator trial queries it."""
+    lazy = _lazy_rnn(params, width, X.shape[0], seed)
+    H, masks, heads, _ = _forward_cols(lazy, params, X)
+    Delta = _backward_cols(lazy, params, H, masks, Csel)
+    return lazy, (H, masks, heads, Delta)
+
+
+@pytest.mark.parametrize("width", [7, 40])
+@pytest.mark.parametrize("T", [1, 2, 5])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_lazy_draw_matches_its_dense_completion(L, T, width):
+    # at width 7 the queries outnumber the width; x == x' sends every
+    # second column down the in-span branch
+    params = HyperParams(sigma_u=0.5, sigma_b=0.1, sigma_v=0.9, depth_L=L)
+    rng = np.random.default_rng((L, T, width))
+    x, xp = rng.standard_normal(T), rng.standard_normal(T)
+    Csel = _selectors(T)
+    for X in (np.stack([x, xp], axis=1), np.stack([x, x], axis=1)):
+        lazy, (H, masks, heads, Delta) = _lazy_run(params, width, (L, T, width), X, Csel)
+        dense = _completed(lazy, rng)
+        H2, masks2, heads2, _ = _forward_cols(dense, params, X)
+        Delta2 = _backward_cols(dense, params, H2, masks2, Csel)
+        assert np.array_equal(masks, masks2)
+        for got, want in ((H, H2), (heads, heads2), (Delta, Delta2)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_lazy_draw_completes_to_iid_standard_normals():
+    # adaptive queries on both sides, then a dense completion: over the
+    # draws, the 9 entries must look like N(0, I_9)
+    draws = 6000
+    entries = np.empty((draws, 9))
+    v0 = np.array([[1.0], [-0.5], [0.25]])
+    for i, ss in enumerate(np.random.SeedSequence(2024).spawn(draws)):
+        rng = np.random.default_rng(ss)
+        op = _LazyGaussian(3, rng)
+        a = op @ v0
+        b = op.T @ (np.maximum(a, 0.0) + 0.1)
+        c = op @ np.column_stack([b[:, 0], v0[:, 0]])
+        op.T @ (c[:, :1] * a - b)
+        entries[i] = complete(op, rng).ravel()
+    se = 1.0 / math.sqrt(draws)
+    assert np.abs(entries.mean(axis=0)).max() < 5.0 * se
+    cov = np.cov(entries, rowvar=False)
+    # Var(w_i w_j) is 1 off the diagonal and Var(w_i^2) is 2 on it
+    cov_se = se * np.sqrt(1.0 + np.eye(9))
+    assert np.abs((cov - np.eye(9)) / cov_se).max() < 5.0
+
+
 def test_suite_crosscheck_structured_inner_vs_flat_gradients():
-    # the blockwise NTK accumulation must equal an explicit gradient dot
+    # the blockwise NTK accumulation must equal an explicit gradient dot,
+    # taken on the dense completion of each trial's lazy draws
     params = HyperParams(sigma_u=0.5, sigma_b=0.1, sigma_v=0.8, depth_L=2)
     x = np.array([0.7, -0.4, 0.2, 1.1])
     xp = np.array([-0.3, 0.9, 0.5, -0.8])
     seed = np.random.SeedSequence(91)
     suite = empirical_suite(x, xp, params, width=12, trials=2, seed=seed)
+    x2 = np.stack([x, xp], axis=1)
+    fill = np.random.default_rng(92)
     root = np.random.SeedSequence(91)
     totals = {arch: [] for arch, kind in suite if kind == "ntk"}
     for child in root.spawn(2):
         pair = child.spawn(2)
-        w1 = sample_rnn(params, 12, 4, pair[0])
-        w2 = sample_rnn(params, 12, 4, pair[1])
+        # same seeds and queries as the suite trial, hence the same answers
+        w1, w2 = (_completed(_lazy_run(params, 12, ss, X, _selectors(4))[0], fill)
+                  for ss, X in zip(pair, (x2, x2[::-1].copy())))
         for arch in totals:
             variant = Variant(arch)
             w2_arg = w2 if variant.bidirectional else None
@@ -309,7 +377,8 @@ def test_cross_head_same_head_recovers_kernel():
 
 
 def test_cross_head_holds_one_draw_at_a_time():
-    # the previous trial's draw must be gone before the next one is sampled
+    # a lazy draw holds O(width * queries) entries, far below a dense
+    # draw's width^2, and the previous trial's draw is gone before the next
     params = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=2)
     x = np.array([0.8, -0.6, 0.3, 0.5, -0.2])
     xp = np.array([0.1, 0.9, -0.7, 0.4, 0.6])
@@ -323,7 +392,7 @@ def test_cross_head_holds_one_draw_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < draw_bytes + 2 * 1024 * 1024, (peak, draw_bytes)
+    assert peak < draw_bytes / 4, (peak, draw_bytes)
 
 
 def test_suite_shares_forward_draws():
