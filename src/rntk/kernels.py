@@ -9,11 +9,17 @@ primitive is the arc-cosine expectation ``vphi`` and its derivative form
 ``vphi_prime``.
 
 All entries of a Gram matrix are independent scalar recursions. The batched
-engine runs them on square blocks of row pairs with 3L + 4 buffers updated in
-place, plus two accumulators per readout, each block writing straight into its
-part of the outputs, so blocks may run concurrently. Self variances are
-computed once per row (O(N*T*L)). Memory is the outputs, those trajectories
-and one buffer set per running block.
+engine runs them on square blocks of row pairs, 128 x 128 (`_BLOCK_EDGE`),
+each block writing straight into its part of the outputs, so blocks may run
+concurrently. An off-diagonal block is the outer product of two row ranges; a
+diagonal block of a symmetric Gram runs whole, as the list of its
+upper-triangle pairs, and is mirrored. A block holds 3L + 4 buffers updated
+in place (psi, vp and vpp per layer, the covariance, three vphi scratch
+arrays) plus two accumulators per readout of a pass: 3L + 6 for one kernel.
+Self variances are computed once per row (O(N*T*L)). Memory is the outputs,
+those trajectories and one buffer set per running block. Every shortcut the
+engine takes (skipped clamps, pin tests and zero carries) is exact, so a
+Gram does not depend on the block edge or the thread count, bit for bit.
 
 Layer l of a depth-L recursion does not depend on L, pooled kernels sum the
 per-step heads, and a bidirectional kernel is the forward pass plus the
@@ -35,10 +41,12 @@ import numpy as np
 
 _INV_2PI = 0.5 / np.pi
 
-# Edge of the square blocks of row pairs. It needs no tuning: at N=1000,
-# T=20, L=2, edges 128 and 256 ran within noise of each other and 64 was
-# ~25% slower (ROADMAP item 5).
-_BLOCK_EDGE = 256
+# Edge of the square blocks of row pairs. At T=20, L=2, one thread, a
+# 256 x 1024 cross block ran in 152 ms at edge 128, 161 ms at 192, 173 ms
+# at 256 and 227 ms at 64. Diagonal blocks run whole: split into their
+# off-diagonal square and two half triangles, ten of edge 128 took 94 ms
+# against 77 ms whole, and edge 128 already tiles a 256 diagonal that way.
+_BLOCK_EDGE = 128
 
 
 class ShapeError(ValueError):
@@ -151,28 +159,57 @@ def _workspace(shape):
     return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
+# Variances x in this range square without underflow or overflow, and then
+# sqrt(fl(x * x)) == x exactly in binary64.
+_EXACT_SQUARE = (2.0**-510, 2.0**510)
+
+
+def _pair_product(a, b, out):
+    """out = a * b for a block's per-row factors a (rows of Xa) and b (rows of Xb).
+
+    Two 1-D arrays (a list of pairs) are multiplied entrywise. A column and
+    a row (a square block) are multiplied as an einsum outer
+    product, at about half the cost of a broadcasting multiply and with the
+    same bits, except that it may give +0 where the multiply gives -0.
+    Callers either add sb2 >= +0 next, which turns -0 into +0, or multiply
+    nonnegative variances, whose products are never -0.
+    """
+    if a.ndim == 1:
+        np.multiply(a, b, out=out)
+    else:
+        np.einsum("i,j->ij", a[:, 0], b, out=out)
+
+
 def _vphi_into(k1, k2, k3, vp, vpp, work):
     """Elementwise (vphi, vphi_prime) of 2x2 covariances, written into vp, vpp.
 
-    k1 and k2 broadcast against k3; `work` is `_workspace(k3.shape)`. The
-    correlation is clamped to [-1, 1] before acos/sqrt so that rounding
-    drift cannot produce NaN. Zero-variance entries (k1*k2 == 0) get the
-    c = 0 limit: vphi = 0, vphi_prime = 1/4.
+    k1 and k2 broadcast against k3 as `_pair_product` takes them; `work` is
+    `_workspace(k3.shape)`. The correlation is clamped to [-1, 1] before
+    acos/sqrt so that rounding drift cannot produce NaN. Zero-variance
+    entries (k1*k2 == 0) get the c = 0 limit: vphi = 0, vphi_prime = 1/4.
+    Each shortcut below skips a full-block pass only where it cannot change
+    a bit.
     """
     q, c, w, eq = work
-    np.multiply(k1, k2, out=q)
+    _pair_product(k1, k2, q)
     np.sqrt(q, out=q)
-    if q.min() > 0.0:
+    # k1, k2 >= 0 and rounding is monotone, so every fl(k1 * k2) is at
+    # least fl(min k1 * min k2): if that is positive, so is all of q.
+    lo1 = k1.min()
+    if lo1 * k2.min() > 0.0 or q.min() > 0.0:
         np.divide(k3, q, out=c)
     else:
         c.fill(0.0)
         np.divide(k3, q, out=c, where=q > 0)
-    np.clip(c, -1.0, 1.0, out=c)
+    # the clamp changes nothing unless some c lies outside [-1, 1]
+    hi = c.max()
+    if hi > 1.0 or c.min() < -1.0:
+        np.clip(c, -1.0, 1.0, out=c)
     ang = np.arccos(c, out=vpp)
     np.subtract(np.pi, ang, out=ang)
     # vp = (c * ang + sqrt(1 - c * c)) * q / (2 pi), in this order
     np.multiply(c, ang, out=vp)
-    np.multiply(c, c, out=w)
+    np.square(c, out=w)
     np.subtract(1.0, w, out=w)
     np.sqrt(w, out=w)
     vp += w
@@ -181,12 +218,17 @@ def _vphi_into(k1, k2, k3, vp, vpp, work):
     vpp *= _INV_2PI
     # Identical streams must pin the c = 1 limit exactly: acos has an
     # unbounded derivative there, so letting rounding decide c would make
-    # self pairs drift away from their own variance recursion.
-    np.equal(k1, k3, out=eq)
-    if eq.any():
-        eq &= (k2 == k3) & (k3 > 0)
-        vp[eq] = 0.5 * k3[eq]
-        vpp[eq] = 0.5
+    # self pairs drift away from their own variance recursion. A pinned
+    # entry has k1 = k2 = k3 = x > 0; with x in _EXACT_SQUARE, q = x and
+    # c = x / x = 1 there, so without a c of 1 nothing is pinned. Outside
+    # that range the exact test always runs.
+    lo, top = _EXACT_SQUARE
+    if hi >= 1.0 or not (lo <= lo1 and k1.max() <= top):
+        np.equal(k1, k3, out=eq)
+        if eq.any():
+            eq &= (k2 == k3) & (k3 > 0)
+            vp[eq] = 0.5 * k3[eq]
+            vpp[eq] = 0.5
 
 
 def _vphi_scalar(k1: float, k2: float, k3: float) -> tuple[float, float]:
@@ -346,11 +388,12 @@ def _block(Xa, Xb, ia, ib, passes, params: HyperParams, outputs, dst):
     """Add the readouts of one block of (row of Xa, row of Xb) pairs to outputs[dst].
 
     ia and ib turn a per-row vector into two arrays that broadcast to the
-    block: a column and a row (inputs enter as outer products), or the row
-    and column indices of a list of pairs. The block buffers (psi, vp, vpp
-    per layer; covariance, vphi workspace, two accumulators per readout)
-    are allocated once; each pass (direction) starts them from zeros, so
-    step 0 adds zero carries, exactly.
+    block: a column and a row (a square block; inputs enter as outer
+    products), or the row and column indices of a list of pairs. The block
+    buffers (psi, vp, vpp per layer; covariance, vphi workspace, two
+    accumulators per readout) are allocated once. Step 0 of each pass
+    (direction) writes psi/vp/vpp without reading them, because its carries
+    are zero.
     """
     su2, sw2, sb2 = (v**2 for v in (params.sigma_u, params.sigma_w, params.sigma_b))
     L = passes[0][1].shape[1]  # depth of the self trajectories: the deepest layer read
@@ -362,31 +405,39 @@ def _block(Xa, Xb, ia, ib, passes, params: HyperParams, outputs, dst):
     work = _workspace(shape)
     q, c, w, _ = work
     for cols, saa, sbb, readouts in passes:
-        for buf in psi + vp + vpp:
-            buf.fill(0.0)
         for acc_ck, acc_ntk in accs[:len(readouts)]:
             acc_ck.fill(0.0)
             acc_ntk.fill(0.0)
         for t, col in enumerate(cols):
             for layer in range(L):
                 if layer == 0:
-                    np.multiply(Xa[:, col][ia], Xb[:, col][ib], out=sab)
+                    _pair_product(Xa[:, col][ia], Xb[:, col][ib], sab)
                     sab *= su2
                 else:
                     np.multiply(vp[layer - 1], su2, out=sab)
                 sab += sb2
-                # psi/vp/vpp[layer] still hold the previous step here, and
-                # the layer below already holds this step
-                vp[layer] *= sw2
-                sab += vp[layer]
                 p = psi[layer]
-                p *= sw2
-                p *= vpp[layer]
                 if layer > 0:
                     np.multiply(psi[layer - 1], su2, out=q)
                     q *= vpp[layer - 1]
-                    p += q
-                p += sab
+                if t == 0:
+                    # The zero carries are skipped: after += sb2 (sb2 >= +0)
+                    # sab is never -0, so (0 + q) + sab == q + sab and
+                    # sab + 0 == sab, bit for bit.
+                    if layer > 0:
+                        np.add(q, sab, out=p)
+                    else:
+                        np.copyto(p, sab)
+                else:
+                    # psi/vp/vpp[layer] still hold the previous step here,
+                    # and the layer below already holds this step
+                    vp[layer] *= sw2
+                    sab += vp[layer]
+                    p *= sw2
+                    p *= vpp[layer]
+                    if layer > 0:
+                        p += q
+                    p += sab
                 _vphi_into(saa[t, layer][ia], sbb[t, layer][ib], sab,
                            vp[layer], vpp[layer], work)
             last = t == len(cols) - 1

@@ -504,6 +504,17 @@ def _estimate(samples: np.ndarray, width: int) -> KernelEstimate:
                           trials=n, width=width)
 
 
+def _input_pair(x, x_prime) -> np.ndarray:
+    """The two input sequences as the columns of one (T, 2) array."""
+    xa = np.asarray(x, dtype=np.float64)
+    xb = np.asarray(x_prime, dtype=np.float64)
+    if xa.ndim != 1 or xa.shape != xb.shape:
+        raise ShapeError("inputs must be 1-D sequences of equal length")
+    if xa.shape[0] == 0:
+        raise ShapeError("inputs must have at least one time step, got empty sequences")
+    return np.stack([xa, xb], axis=1)
+
+
 def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int,
                     seed=0, need_bi: bool = True, need_ntk: bool = True):
     """Estimate CK/NTK for all architectures on one input pair.
@@ -516,11 +527,7 @@ def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int,
         raise ValueError("trials must be at least 2 (stderr is undefined otherwise)")
     if width < 1:
         raise ValueError("width must be positive")
-    xa = np.asarray(x, dtype=np.float64)
-    xb = np.asarray(x_prime, dtype=np.float64)
-    if xa.ndim != 1 or xa.shape != xb.shape:
-        raise ShapeError("inputs must be 1-D sequences of equal length")
-    x2 = np.stack([xa, xb], axis=1)
+    x2 = _input_pair(x, x_prime)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rows = []
     for child in root.spawn(trials):
@@ -585,14 +592,10 @@ def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials:
     """
     if trials < 2:
         raise ValueError("trials must be at least 2 (stderr is undefined otherwise)")
-    xa = np.asarray(x, dtype=np.float64)
-    xb = np.asarray(x_prime, dtype=np.float64)
-    if xa.ndim != 1 or xa.shape != xb.shape:
-        raise ShapeError("inputs must be 1-D sequences of equal length")
-    T = xa.shape[0]
+    x2 = _input_pair(x, x_prime)
+    T = x2.shape[0]
     if not (0 <= head_a < T and 0 <= head_b < T):
         raise ValueError(f"head indices must be in [0, {T})")
-    x2 = np.stack([xa, xb], axis=1)
     Csel = np.zeros((T, 2))
     Csel[head_a, 0] = 1.0
     Csel[head_b, 1] = 1.0

@@ -120,7 +120,7 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
         i = int(F_up.argmax())
         np.add(F, pen_low, out=F_low)
         j = int(F_low.argmin())
-        m, M = F_up[i], F_low[j]
+        m, M = F_up.item(i), F_low.item(j)
         if m - M <= tol:
             alpha = np.array(alpha)
             return alpha, _bias(F, y, alpha, C, m, M), it, True

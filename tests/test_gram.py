@@ -286,6 +286,73 @@ def test_block_engine_matches_pair_engine_bit_for_bit(monkeypatch):
                         assert np.array_equal(cross.ntk, ref_cross.ntk), case
 
 
+def _edge_case_rows():
+    """Rows that reach every shortcut of the block engine, and their cross rows.
+
+    With sigma_b = 0: a scaled and a negated copy of row 0 (correlations
+    that round past +1 and below -1), a zero row (zero variance), and
+    duplicated rows at scale 2^258 and 2^-259, whose self-variances (about
+    2^514 and 2^-520) lie outside [2^-510, 2^510], so that q = sqrt(k1 * k2)
+    overflows or loses bits and a pinned pair need not have c = 1.
+    """
+    rng = np.random.default_rng(33)
+    X = rng.standard_normal((10, 4))
+    X[1] = 3.0 * X[0]
+    X[2] = -X[0]
+    X[3] = 0.0
+    X[5] = X[4] = 2.0**258 * X[4]
+    X[7] = X[6] = 2.0**-259 * X[6]
+    Y = rng.standard_normal((7, 4))
+    Y[0] = -3.0 * X[0]
+    Y[1] = X[4]
+    Y[2] = X[6]
+    Y[3] = 0.0
+    Y[4] = 0.5 * X[0]
+    return X, Y
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_block_shortcuts_match_pair_engine_bit_for_bit(monkeypatch):
+    # edge 1 puts every pair in a block of its own, so no other entry of
+    # the block can trigger the full-block clamp or pin test for it
+    X, Y = _edge_case_rows()
+    for depth in (1, 2, 3):
+        for sigma_b in (0.0, 0.1):
+            hp = HyperParams(sigma_u=0.5, sigma_b=sigma_b, sigma_v=0.7, depth_L=depth)
+            for variant in ALL_VARIANTS:
+                ref = reference_gram(X, hp, variant)
+                ref_cross = reference_gram_cross(X, Y, hp, variant)
+                for edge in (1, 3, kernels._BLOCK_EDGE):
+                    monkeypatch.setattr(kernels, "_BLOCK_EDGE", edge)
+                    gp = gram(X, hp, variant, threads=1)
+                    cross = gram_cross(X, Y, hp, variant, threads=1)
+                    case = (depth, sigma_b, variant, edge)
+                    assert np.array_equal(gp.ck, ref.ck), case
+                    assert np.array_equal(gp.ntk, ref.ntk), case
+                    assert np.array_equal(cross.ck, ref_cross.ck), case
+                    assert np.array_equal(cross.ntk, ref_cross.ntk), case
+
+
+def test_default_edge_blocks_match_pair_engine_bit_for_bit():
+    # full-size diagonal and off-diagonal blocks, and the ragged last ones
+    rng = np.random.default_rng(35)
+    X = rng.standard_normal((2 * kernels._BLOCK_EDGE + 9, 6))
+    X[150] = X[3]
+    X[200] = 0.0
+    Y = rng.standard_normal((kernels._BLOCK_EDGE + 5, 6))
+    Y[7] = X[3]
+    hp = HyperParams(sigma_u=0.5, sigma_b=0.0, sigma_v=0.7, depth_L=2)
+    for variant in (Variant(Arch.RNN), Variant(Arch.BI_RNN_AVG)):
+        ref = reference_gram(X, hp, variant)
+        ref_cross = reference_gram_cross(X, Y, hp, variant)
+        gp = gram(X, hp, variant, threads=2)
+        cross = gram_cross(X, Y, hp, variant, threads=2)
+        assert np.array_equal(gp.ck, ref.ck), variant
+        assert np.array_equal(gp.ntk, ref.ntk), variant
+        assert np.array_equal(cross.ck, ref_cross.ck), variant
+        assert np.array_equal(cross.ntk, ref_cross.ntk), variant
+
+
 def test_family_matches_gram_bit_for_bit(monkeypatch):
     # one family: every variant at depths 1, 2 and 3, each with its own
     # sigma_v; the same zero and duplicated rows as the engine test above

@@ -244,6 +244,17 @@ def test_empirical_rejects_single_trial():
         empirical_ck(x, x, HP, Variant(Arch.RNN), width=10, trials=1)
 
 
+def test_empirical_rejects_empty_sequences():
+    empty = np.zeros(0)
+    with pytest.raises(ShapeError, match="at least one time step"):
+        empirical_suite(empty, empty, HP, width=10, trials=2)
+    for estimate in (empirical_ck, empirical_ntk):
+        with pytest.raises(ShapeError, match="at least one time step"):
+            estimate(empty, empty, HP, Variant(Arch.BI_RNN), width=10, trials=2)
+    with pytest.raises(ShapeError, match="at least one time step"):
+        empirical_cross_head(empty, empty, HP, width=10, trials=2, head_a=0, head_b=0)
+
+
 def _completed(weights, rng):
     """Dense weights that agree with every answer a lazy draw has given."""
     def dense(m):
