@@ -198,6 +198,10 @@ def cmd_bench(args) -> int:
         if unknown:
             print(f"unknown methods: {', '.join(unknown)}", file=sys.stderr)
             return 2
+        if not wanted or len(set(wanted)) < len(wanted):
+            print(f"--methods must name each method once, got {args.methods!r}",
+                  file=sys.stderr)
+            return 2
         grid = HyperGrid(methods=wanted)
     datasets = []
     splits_map = {}

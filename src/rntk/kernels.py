@@ -48,13 +48,17 @@ _INV_2PI = 0.5 / np.pi
 # against 77 ms whole, and edge 128 already tiles a 256 diagonal that way.
 _BLOCK_EDGE = 128
 
+# inputs of scale about 2^255 or more have self-variances near 2^514, whose
+# product overflows: q = inf, c = 0, and the kernels turn inf or NaN
+_OVERFLOW = "kernel values overflowed: the inputs or sigmas are too large for the recursion"
+
 
 class ShapeError(ValueError):
     """Inputs have inconsistent or unusable shapes."""
 
 
 class CompositionError(ValueError):
-    """Kernel matrices cannot be composed (shape or parameter mismatch)."""
+    """Kernels cannot be computed together (a family's members differ in sigmas)."""
 
 
 class Arch(Enum):
@@ -337,7 +341,10 @@ def kernel_pair(x, x_prime, params: HyperParams) -> PairOutputs:
         ck_avg += ck_t
         ntk_avg += ntk_t
         ck_last, ntk_last = ck_t, ntk_t
-    return PairOutputs(ck_last, ntk_last, ck_avg, ntk_avg)
+    out = PairOutputs(ck_last, ntk_last, ck_avg, ntk_avg)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(_OVERFLOW)
+    return out
 
 
 def _self_trajectory(X, cols, params: HyperParams, depth: int) -> np.ndarray:
@@ -519,6 +526,8 @@ def _kernel_blocks(Xa, Xb, params: HyperParams, readouts, threads):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_block, *zip(*blocks)))  # raises a block's exception
+    if not all(np.isfinite(m).all() for pair in outputs for m in pair):
+        raise ValueError(_OVERFLOW)
     return outputs
 
 
@@ -549,10 +558,6 @@ class GramPair:
     ntk: np.ndarray
     params: HyperParams
     variant: Variant
-
-    @property
-    def n_points(self) -> int:
-        return self.ck.shape[0]
 
 
 @dataclass(frozen=True)
@@ -634,27 +639,3 @@ def flip(x):
     if arr.ndim != 1:
         raise ShapeError("flip expects a 1-D sequence")
     return arr[::-1].copy()
-
-
-_BI_OF = {Arch.RNN: Arch.BI_RNN, Arch.RNN_AVG: Arch.BI_RNN_AVG}
-
-
-def compose_bidirectional(fwd: GramPair, bwd: GramPair) -> GramPair:
-    """Sum a forward-direction and a reversed-direction GramPair entrywise.
-
-    The bidirectional kernel is the sum of the two directional kernels
-    because the two directions use independent weights and independent
-    output heads, which has the cross terms vanish in the infinite-width
-    limit. `bwd` must be the same dataset processed in reversed time order.
-    """
-    if fwd.ck.shape != bwd.ck.shape:
-        raise CompositionError(
-            f"shape mismatch: {fwd.ck.shape} vs {bwd.ck.shape}")
-    if fwd.params != bwd.params:
-        raise CompositionError("hyperparameter mismatch between directions")
-    if fwd.variant.arch != bwd.variant.arch or fwd.variant.arch not in _BI_OF:
-        raise CompositionError(
-            "both directions must share a unidirectional architecture "
-            f"(got {fwd.variant.arch.value}, {bwd.variant.arch.value})")
-    return GramPair(ck=fwd.ck + bwd.ck, ntk=fwd.ntk + bwd.ntk,
-                    params=fwd.params, variant=Variant(_BI_OF[fwd.variant.arch]))

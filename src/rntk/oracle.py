@@ -3,10 +3,13 @@
 Samples concrete random RNNs, runs the forward recursion and
 backpropagation through time, and estimates the CK (covariance of
 outputs) and the NTK (inner product of parameter gradients) across
-independent weight draws. Pair estimators push both inputs through the
-same weights as a two-column batch, and gradient inner products are
-assembled blockwise from hidden-state and delta Gram matrices, so wide
-networks never materialize a flat gradient.
+independent weight draws. There are two estimators: `empirical_suite`
+gives all eight (architecture, CK/NTK) estimates of one input pair from
+shared draws, and `empirical_cross_head` the statistics between two
+output heads. Both push the two inputs through the same weights as a
+two-column batch, and gradient inner products are assembled blockwise
+from hidden-state and delta Gram matrices, so wide networks never
+materialize a flat gradient.
 
 The estimators never draw an n x n weight matrix in full. One trial
 touches each of them only through a few dozen products with vectors that
@@ -449,16 +452,14 @@ _NTK = "ntk"
 def _run_net(params, width, seed, X, Csel):
     """(H, heads, Delta) of a (T, B) batch X through one fresh lazy draw.
 
-    Delta is None unless Csel selects readouts to backpropagate. The draw
-    is dropped on return, so a caller holds at most one at a time.
+    The draw is dropped on return, so a caller holds at most one at a time.
     """
     weights = _lazy_rnn(params, width, X.shape[0], seed)
     H, masks, heads, _ = _forward_cols(weights, params, X)
-    Delta = None if Csel is None else _backward_cols(weights, params, H, masks, Csel)
-    return H, heads, Delta
+    return H, heads, _backward_cols(weights, params, H, masks, Csel)
 
 
-def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
+def _suite_trial(x2, params, width, seed_pair):
     """Per-trial kernel values for every architecture, from shared draws.
 
     x2 is (T, 2) holding the input pair in default order. The
@@ -468,33 +469,25 @@ def _suite_trial(x2, params, width, seed_pair, need_bi, need_ntk):
     """
     T = x2.shape[0]
     Csel = _selectors(T)
-    back = Csel if need_ntk else None
-    values = {}
-    H1, heads1, D1 = _run_net(params, width, seed_pair[0], x2, back)
-    last1 = heads1[T - 1]
-    sum1 = heads1.sum(axis=0)
-    values[(Arch.RNN, _CK)] = float(last1[0] * last1[1])
-    values[(Arch.RNN_AVG, _CK)] = float(sum1[0] * sum1[1])
-    if need_ntk:
-        values[(Arch.RNN, _NTK)] = _inner_product(params, D1, H1, x2, 0, 0, Csel)
-        values[(Arch.RNN_AVG, _NTK)] = _inner_product(params, D1, H1, x2, 1, 1, Csel)
-    if need_bi:
-        xf2 = x2[::-1].copy()
-        H2, heads2, D2 = _run_net(params, width, seed_pair[1], xf2, back)
-        last2 = heads2[T - 1]
-        sum2 = heads2.sum(axis=0)
-        values[(Arch.BI_RNN, _CK)] = float(
-            (last1[0] + last2[0]) * (last1[1] + last2[1]))
-        values[(Arch.BI_RNN_AVG, _CK)] = float(
-            (sum1[0] + sum2[0]) * (sum1[1] + sum2[1]))
-        if need_ntk:
-            # gradients of the two directions live in disjoint blocks, so
-            # the bidirectional inner product is the exact two-term sum
-            values[(Arch.BI_RNN, _NTK)] = values[(Arch.RNN, _NTK)] + _inner_product(
-                params, D2, H2, xf2, 0, 0, Csel)
-            values[(Arch.BI_RNN_AVG, _NTK)] = values[(Arch.RNN_AVG, _NTK)] + _inner_product(
-                params, D2, H2, xf2, 1, 1, Csel)
-    return values
+    xf2 = x2[::-1].copy()
+    H1, heads1, D1 = _run_net(params, width, seed_pair[0], x2, Csel)
+    H2, heads2, D2 = _run_net(params, width, seed_pair[1], xf2, Csel)
+    last1, last2 = heads1[T - 1], heads2[T - 1]
+    sum1, sum2 = heads1.sum(axis=0), heads2.sum(axis=0)
+    ntk_last = _inner_product(params, D1, H1, x2, 0, 0, Csel)
+    ntk_avg = _inner_product(params, D1, H1, x2, 1, 1, Csel)
+    # gradients of the two directions live in disjoint blocks, so the
+    # bidirectional inner product is the exact two-term sum
+    return {
+        (Arch.RNN, _CK): float(last1[0] * last1[1]),
+        (Arch.RNN_AVG, _CK): float(sum1[0] * sum1[1]),
+        (Arch.RNN, _NTK): ntk_last,
+        (Arch.RNN_AVG, _NTK): ntk_avg,
+        (Arch.BI_RNN, _CK): float((last1[0] + last2[0]) * (last1[1] + last2[1])),
+        (Arch.BI_RNN_AVG, _CK): float((sum1[0] + sum2[0]) * (sum1[1] + sum2[1])),
+        (Arch.BI_RNN, _NTK): ntk_last + _inner_product(params, D2, H2, xf2, 0, 0, Csel),
+        (Arch.BI_RNN_AVG, _NTK): ntk_avg + _inner_product(params, D2, H2, xf2, 1, 1, Csel),
+    }
 
 
 def _estimate(samples: np.ndarray, width: int) -> KernelEstimate:
@@ -515,26 +508,28 @@ def _input_pair(x, x_prime) -> np.ndarray:
     return np.stack([xa, xb], axis=1)
 
 
-def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int,
-                    seed=0, need_bi: bool = True, need_ntk: bool = True):
+def _trial_seeds(seed, width: int, trials: int) -> list:
+    """One SeedSequence per trial, once width and trials are checked."""
+    if trials < 2:
+        raise ValueError("trials must be at least 2 (stderr is undefined otherwise)")
+    if width < 1:
+        raise ValueError(f"width must be positive, got {width}")
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return root.spawn(trials)
+
+
+def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int, seed=0):
     """Estimate CK/NTK for all architectures on one input pair.
 
     Returns {(Arch, "ck"|"ntk"): KernelEstimate}. All architectures share
     each trial's forward-direction draw, which halves the sampling cost
-    without biasing any single estimate.
+    without biasing any single estimate. Flipped-order estimates are the
+    suite of flip(x), flip(x_prime).
     """
-    if trials < 2:
-        raise ValueError("trials must be at least 2 (stderr is undefined otherwise)")
-    if width < 1:
-        raise ValueError("width must be positive")
     x2 = _input_pair(x, x_prime)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rows = []
-    for child in root.spawn(trials):
-        pair = child.spawn(2)
-        rows.append(_suite_trial(x2, params, width, pair, need_bi, need_ntk))
-    keys = list(rows[0])
-    return {key: _estimate(np.array([r[key] for r in rows]), width) for key in keys}
+    rows = [_suite_trial(x2, params, width, child.spawn(2))
+            for child in _trial_seeds(seed, width, trials)]
+    return {key: _estimate(np.array([r[key] for r in rows]), width) for key in rows[0]}
 
 
 def analytic_suite(x, x_prime, params: HyperParams):
@@ -558,28 +553,6 @@ def analytic_suite(x, x_prime, params: HyperParams):
     }
 
 
-def _single_variant(x, x_prime, params, variant, width, trials, seed, kind):
-    xa = np.asarray(x, dtype=np.float64)
-    xb = np.asarray(x_prime, dtype=np.float64)
-    if variant.input_order is InputOrder.FLIPPED:
-        xa, xb = xa[::-1].copy(), xb[::-1].copy()
-    out = empirical_suite(xa, xb, params, width, trials, seed,
-                          need_bi=variant.bidirectional, need_ntk=(kind == _NTK))
-    return out[(variant.arch, kind)]
-
-
-def empirical_ck(x, x_prime, params: HyperParams, variant: Variant = Variant(), *,
-                 width: int, trials: int, seed=0) -> KernelEstimate:
-    """Monte Carlo estimate of E[f(x) * f(x')] over weight draws."""
-    return _single_variant(x, x_prime, params, variant, width, trials, seed, _CK)
-
-
-def empirical_ntk(x, x_prime, params: HyperParams, variant: Variant = Variant(), *,
-                  width: int, trials: int, seed=0) -> KernelEstimate:
-    """Monte Carlo estimate of E[<grad f(x), grad f(x')>] over weight draws."""
-    return _single_variant(x, x_prime, params, variant, width, trials, seed, _NTK)
-
-
 def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials: int,
                          seed=0, head_a: int, head_b: int):
     """Cross-head statistics between readouts at two different time steps.
@@ -590,19 +563,17 @@ def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials:
     head_a != head_b because the output weights of distinct heads are
     independent.
     """
-    if trials < 2:
-        raise ValueError("trials must be at least 2 (stderr is undefined otherwise)")
     x2 = _input_pair(x, x_prime)
     T = x2.shape[0]
     if not (0 <= head_a < T and 0 <= head_b < T):
         raise ValueError(f"head indices must be in [0, {T})")
+    seeds = _trial_seeds(seed, width, trials)
     Csel = np.zeros((T, 2))
     Csel[head_a, 0] = 1.0
     Csel[head_b, 1] = 1.0
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     prods = np.empty(trials)
     inners = np.empty(trials)
-    for i, child in enumerate(root.spawn(trials)):
+    for i, child in enumerate(seeds):
         H, heads, Delta = _run_net(params, width, child, x2, Csel)
         prods[i] = heads[head_a, 0] * heads[head_b, 1]
         inners[i] = _inner_product(params, Delta, H, x2, 0, 1, Csel)

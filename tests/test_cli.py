@@ -177,7 +177,7 @@ def test_bench_command(tmp_path, capsys):
     assert len(agg) == 3
 
 
-def test_bench_command_failures(tmp_path, capsys):
+def test_bench_command_failures(tmp_path, capsys, monkeypatch):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["bench", "--data-dir", str(empty),
@@ -188,6 +188,18 @@ def test_bench_command_failures(tmp_path, capsys):
     assert main(["bench", "--data-dir", str(data_dir),
                  "--out-dir", str(tmp_path / "o2"),
                  "--methods", "rnn,bogus"]) == 2
+
+    def no_loading(path):
+        raise AssertionError(f"loaded {path} despite a usage error")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load_dataset", no_loading)
+        for methods in (",", "", "rbf,rbf", "rnn, rbf,rnn"):
+            assert main(["bench", "--data-dir", str(data_dir),
+                         "--out-dir", str(tmp_path / "o4"),
+                         "--methods", methods]) == 2, methods
+            assert "each method once" in capsys.readouterr().err
+    assert not (tmp_path / "o4").exists()
     (data_dir / "one.csv").write_text("junk\n", encoding="utf-8")
     assert main(["bench", "--data-dir", str(data_dir),
                  "--out-dir", str(tmp_path / "o3")]) == 1

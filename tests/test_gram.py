@@ -10,7 +10,6 @@ from rntk import (
     InputOrder,
     ShapeError,
     Variant,
-    compose_bidirectional,
     flip,
     gram,
     gram_cross,
@@ -140,11 +139,9 @@ def test_compose_bidirectional_matches_internal():
     for arch, bi_arch in [(Arch.RNN, Arch.BI_RNN), (Arch.RNN_AVG, Arch.BI_RNN_AVG)]:
         fwd = gram(X, HP, Variant(arch))
         bwd = gram(X[:, ::-1], HP, Variant(arch))
-        combined = compose_bidirectional(fwd, bwd)
         direct = gram(X, HP, Variant(bi_arch))
-        assert combined.variant.arch is bi_arch
-        np.testing.assert_array_equal(combined.ck, direct.ck)
-        np.testing.assert_array_equal(combined.ntk, direct.ntk)
+        np.testing.assert_array_equal(fwd.ck + bwd.ck, direct.ck)
+        np.testing.assert_array_equal(fwd.ntk + bwd.ntk, direct.ntk)
 
 
 def test_palindrome_rows_double_under_bidirectional():
@@ -153,21 +150,6 @@ def test_palindrome_rows_double_under_bidirectional():
     bi = gram(X, HP, Variant(Arch.BI_RNN))
     np.testing.assert_allclose(bi.ck, 2.0 * uni.ck, rtol=1e-12)
     np.testing.assert_allclose(bi.ntk, 2.0 * uni.ntk, rtol=1e-12)
-
-
-def test_compose_errors():
-    rng = np.random.default_rng(16)
-    X = rng.standard_normal((6, 4))
-    fwd = gram(X, HP, Variant(Arch.RNN))
-    with pytest.raises(CompositionError):
-        compose_bidirectional(fwd, gram(X[:5], HP, Variant(Arch.RNN)))
-    with pytest.raises(CompositionError):
-        compose_bidirectional(fwd, gram(X, HyperParams(sigma_u=0.25), Variant(Arch.RNN)))
-    with pytest.raises(CompositionError):
-        compose_bidirectional(fwd, gram(X, HP, Variant(Arch.RNN_AVG)))
-    with pytest.raises(CompositionError):
-        bi = gram(X, HP, Variant(Arch.BI_RNN))
-        compose_bidirectional(bi, bi)
 
 
 def test_gram_cross_consistency():
@@ -385,6 +367,21 @@ def test_family_matches_gram_bit_for_bit(monkeypatch):
                     assert np.array_equal(gp.ntk, ref.ntk), case
                     assert np.array_equal(cross.ck, ref_cross.ck), case
                     assert np.array_equal(cross.ntk, ref_cross.ntk), case
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_recursion_fails_loudly():
+    # finite rows whose self-variances (~2^514) overflow when multiplied
+    X = np.array([[1.0, 2.0], [1.5, -0.5]]) * 2.0**258
+    hp = HyperParams(sigma_b=0.0)
+    with pytest.raises(ValueError, match="overflowed"):
+        gram(X, hp)
+    with pytest.raises(ValueError, match="overflowed"):
+        gram_cross(X[:1], X[1:], hp)
+    with pytest.raises(ValueError, match="overflowed"):
+        gram_family(X, [(hp, Variant()), (hp, Variant(Arch.BI_RNN_AVG))])
+    with pytest.raises(ValueError, match="overflowed"):
+        kernel_pair(X[0], X[1], hp)
 
 
 def test_family_members_must_share_the_recursion():

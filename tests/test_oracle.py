@@ -12,9 +12,8 @@ from rntk.oracle import (
     _lazy_rnn,
     _LazyGaussian,
     _selectors,
-    empirical_ck,
+    _suite_trial,
     empirical_cross_head,
-    empirical_ntk,
     empirical_suite,
     flatten_rnn,
     forward,
@@ -231,26 +230,44 @@ def test_gradient_second_net_zero_for_unidirectional():
 def test_empirical_estimates_deterministic():
     x = np.array([0.6, -0.3, 0.1])
     xp = np.array([-0.2, 0.5, 0.9])
-    a = empirical_ck(x, xp, HP, Variant(Arch.RNN), width=30, trials=8, seed=77)
-    b = empirical_ck(x, xp, HP, Variant(Arch.RNN), width=30, trials=8, seed=77)
+    a = empirical_suite(x, xp, HP, width=30, trials=8, seed=77)
+    b = empirical_suite(x, xp, HP, width=30, trials=8, seed=77)
     assert a == b
-    c = empirical_ntk(x, xp, HP, Variant(Arch.RNN), width=30, trials=8, seed=77)
+    c = a[(Arch.RNN, "ntk")]
     assert c.trials == 8 and c.width == 30 and c.stderr > 0
 
 
 def test_empirical_rejects_single_trial():
     x = np.array([0.6, -0.3])
     with pytest.raises(ValueError):
-        empirical_ck(x, x, HP, Variant(Arch.RNN), width=10, trials=1)
+        empirical_suite(x, x, HP, width=10, trials=1)
+
+
+def test_estimators_reject_nonpositive_width():
+    x = np.array([0.6, -0.3])
+    for width in (0, -3):
+        with pytest.raises(ValueError, match="width must be positive"):
+            empirical_suite(x, x, HP, width=width, trials=2)
+        with pytest.raises(ValueError, match="width must be positive"):
+            empirical_cross_head(x, x, HP, width=width, trials=2, head_a=0, head_b=1)
+    with pytest.raises(ValueError, match="at least 2"):
+        empirical_cross_head(x, x, HP, width=10, trials=1, head_a=0, head_b=1)
+
+
+def test_suite_is_the_only_estimate_route():
+    import rntk
+
+    for name in ("empirical_ck", "empirical_ntk", "compose_bidirectional"):
+        assert not hasattr(rntk, name), name
+    x = np.array([0.6, -0.3])
+    with pytest.raises(TypeError):
+        empirical_suite(x, x, HP, width=10, trials=2, need_bi=False)
 
 
 def test_empirical_rejects_empty_sequences():
     empty = np.zeros(0)
     with pytest.raises(ShapeError, match="at least one time step"):
         empirical_suite(empty, empty, HP, width=10, trials=2)
-    for estimate in (empirical_ck, empirical_ntk):
-        with pytest.raises(ShapeError, match="at least one time step"):
-            estimate(empty, empty, HP, Variant(Arch.BI_RNN), width=10, trials=2)
     with pytest.raises(ShapeError, match="at least one time step"):
         empirical_cross_head(empty, empty, HP, width=10, trials=2, head_a=0, head_b=0)
 
@@ -363,7 +380,7 @@ def test_bidirectional_palindrome_doubles_ck():
     params = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=1)
     x = np.array([0.4, 1.0, 0.4])
     analytic = kernel_pair(x, x, params)
-    est = empirical_ck(x, x, params, Variant(Arch.BI_RNN), width=600, trials=300, seed=103)
+    est = empirical_suite(x, x, params, width=600, trials=300, seed=103)[(Arch.BI_RNN, "ck")]
     assert abs(est.mean - 2.0 * analytic.ck_last) < 5.0 * est.stderr + 0.04 * analytic.ck_last
 
 
@@ -407,10 +424,15 @@ def test_cross_head_holds_one_draw_at_a_time():
 
 
 def test_suite_shares_forward_draws():
-    x = np.array([0.5, -0.5])
-    xp = np.array([0.3, 0.7])
-    full = empirical_suite(x, xp, HP1, width=40, trials=6, seed=121, need_bi=True)
-    uni = empirical_suite(x, xp, HP1, width=40, trials=6, seed=121, need_bi=False)
-    assert full[(Arch.RNN, "ck")] == uni[(Arch.RNN, "ck")]
-    assert full[(Arch.RNN_AVG, "ntk")] == uni[(Arch.RNN_AVG, "ntk")]
-    assert (Arch.BI_RNN, "ck") not in uni
+    # the first seed of a trial's pair draws the forward network, the
+    # second the reversed one; only the bidirectional values read both
+    x2 = np.array([[0.5, 0.3], [-0.5, 0.7]])
+    first, second, other = np.random.SeedSequence(121).spawn(3)
+    a = _suite_trial(x2, HP1, 40, (first, second))
+    b = _suite_trial(x2, HP1, 40, (first, other))
+    assert list(a) == list(b) and len(a) == 8
+    for (arch, kind), value in a.items():
+        if arch in (Arch.RNN, Arch.RNN_AVG):
+            assert b[(arch, kind)] == value, (arch, kind)
+        else:
+            assert b[(arch, kind)] != value, (arch, kind)
