@@ -1,8 +1,9 @@
 """Binary and CSV serialization of kernel Gram matrices.
 
 Binary layout: 8-byte magic "RNTKGRAM", then a little-endian header
-(u32 version=1, u32 N rows, u32 M cols, u8 kind, u8 variant, u16 reserved),
-then N*M little-endian float64 values in row-major order.
+(u32 version=1, u32 N rows, u32 M cols, u8 kind, u8 variant, u16 reserved=0),
+then N*M little-endian float64 values in row-major order. The variant byte
+is the architecture code (0-3) with bit 0x10 set for the flipped order.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ def variant_code(variant: Variant) -> int:
 
 
 def variant_from_code(code: int) -> Variant:
-    arch = _CODE_ARCH.get(code & 0x0F)
-    if arch is None:
-        raise GramFormatError(f"unknown variant code {code}")
+    if code & ~(0x03 | _FLIP_BIT):
+        raise GramFormatError(f"unknown variant code {code:#04x}")
     order = InputOrder.FLIPPED if code & _FLIP_BIT else InputOrder.DEFAULT
-    return Variant(arch, order)
+    return Variant(_CODE_ARCH[code & 0x03], order)
 
 
 def write_gram(path, matrix: np.ndarray, kind: int, variant: Variant) -> None:
@@ -73,18 +73,21 @@ def read_gram(path) -> tuple[np.ndarray, int, Variant]:
             raise GramFormatError(f"{path}: truncated header")
         if head[: len(MAGIC)] != MAGIC:
             raise GramFormatError(f"{path}: bad magic bytes")
-        version, n, m, kind, vcode, _ = _HEADER.unpack_from(head, len(MAGIC))
+        version, n, m, kind, vcode, reserved = _HEADER.unpack_from(head, len(MAGIC))
         if version != VERSION:
             raise GramFormatError(f"{path}: unsupported version {version}")
         if kind not in (KIND_CK, KIND_NTK):
             raise GramFormatError(f"{path}: unknown kind {kind}")
+        if reserved:
+            raise GramFormatError(f"{path}: reserved header field is {reserved}, expected 0")
+        variant = variant_from_code(vcode)
         expected = n * m * 8
         size = os.fstat(fh.fileno()).st_size
         if size != start + expected:
             raise GramFormatError(
                 f"{path}: payload is {size - start} bytes, expected {expected}")
         mat = np.fromfile(fh, dtype="<f8", count=n * m).reshape(n, m)
-    return mat, kind, variant_from_code(vcode)
+    return mat, kind, variant
 
 
 def write_gram_csv(path, matrix: np.ndarray) -> None:

@@ -16,19 +16,18 @@ touches each of them only through a few dozen products with vectors that
 depend on earlier answers, and `_LazyGaussian` samples exactly those
 products, in law, by Gaussian conditioning (Bolthausen 2014; Yang,
 arXiv 1902.04760): O(n k) work and memory for k products instead of
-O(n^2). `sample_rnn`, `forward` and `gradient` work on dense draws,
-because finite differences and flat gradients need real matrices.
+O(n^2). `sample_rnn` draws every matrix densely, for callers that need
+real matrices, such as finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .kernels import Arch, HyperParams, InputOrder, ShapeError, Variant, flip, kernel_pair
+from .kernels import Arch, HyperParams, ShapeError, flip, kernel_pair
 
 
 @dataclass
@@ -40,10 +39,10 @@ class RNNWeights:
     (n, n) input weights (inputs are one scalar per time step); b[l]: (n,)
     biases; V: (T, n) output heads, one independent row per time step.
 
-    `sample_rnn` fills every entry with dense arrays, as `forward`,
-    `gradient` and `flatten_rnn` need. Inside the Monte Carlo estimators
-    W[l] and U[l>=1] are `_LazyGaussian` operators instead, which support
-    only `@` and `.T @`, the two products the recursion uses.
+    `sample_rnn` fills every entry with dense arrays. Inside the Monte
+    Carlo estimators W[l] and U[l>=1] are `_LazyGaussian` operators
+    instead. The recursion uses only `@` and `.T @`, which both kinds
+    support, so `_forward_cols` and `_backward_cols` run on either.
     """
 
     W: list
@@ -62,22 +61,6 @@ class RNNWeights:
     @property
     def T(self) -> int:
         return self.V.shape[0]
-
-
-@dataclass
-class ForwardTrace:
-    """Pre-activations, hidden states, and outputs of one forward pass.
-
-    g: (L, T, n); h: (L, T+1, n) with h[:, 0] = 0 (zero initial state);
-    heads: (T,) per-step outputs; output: the variant's readout. For
-    bidirectional variants `twin` holds the reversed-direction pass.
-    """
-
-    g: np.ndarray
-    h: np.ndarray
-    heads: np.ndarray
-    output: float
-    twin: Optional["ForwardTrace"] = None
 
 
 @dataclass(frozen=True)
@@ -216,22 +199,11 @@ def _lazy_rnn(params: HyperParams, width: int, T: int, seed) -> RNNWeights:
     return RNNWeights(W=W, U=U, b=b, V=V)
 
 
-def _check_sequence(x, weights: RNNWeights, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be a 1-D sequence")
-    if arr.shape[0] != weights.T:
-        raise ShapeError(
-            f"{name} has length {arr.shape[0]}, weights expect T={weights.T}")
-    return arr
-
-
-def _forward_cols(weights: RNNWeights, params: HyperParams, X, keep_g: bool = False):
+def _forward_cols(weights: RNNWeights, params: HyperParams, X):
     """Forward pass for a (T, B) batch of scalar sequences.
 
-    Returns (H, masks, heads, G): H is (L, T+1, n, B) hidden states with
-    H[:, 0] = 0, masks is (L, T, n, B) of relu'(g), heads is (T, B), and
-    G is (L, T, n, B) pre-activations or None unless keep_g.
+    Returns (H, masks, heads): H is (L, T+1, n, B) hidden states with
+    H[:, 0] = 0, masks is (L, T, n, B) of relu'(g), and heads is (T, B).
     """
     n = weights.width
     L = weights.depth_L
@@ -245,7 +217,6 @@ def _forward_cols(weights: RNNWeights, params: HyperParams, X, keep_g: bool = Fa
     H = np.zeros((L, T + 1, n, B))
     masks = np.empty((L, T, n, B), dtype=bool)
     heads = np.empty((T, B))
-    G = np.empty((L, T, n, B)) if keep_g else None
     for t in range(T):
         for layer in range(L):
             if layer == 0:
@@ -254,12 +225,10 @@ def _forward_cols(weights: RNNWeights, params: HyperParams, X, keep_g: bool = Fa
                 g = su * (weights.U[layer] @ H[layer - 1, t + 1])
             g += sw * (weights.W[layer] @ H[layer, t])
             g += sb * weights.b[layer][:, None]
-            if keep_g:
-                G[layer, t] = g
             masks[layer, t] = g > 0
             H[layer, t + 1] = np.maximum(g, 0.0)
         heads[t] = sv * (weights.V[t] @ H[L - 1, t + 1])
-    return H, masks, heads, G
+    return H, masks, heads
 
 
 def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel):
@@ -340,111 +309,6 @@ def _selectors(T: int) -> np.ndarray:
     return Csel
 
 
-def forward(weights: RNNWeights, params: HyperParams, x, variant: Variant = Variant(),
-            second_weights: Optional[RNNWeights] = None) -> ForwardTrace:
-    """Run one network on one input and return its full trace.
-
-    Bidirectional variants require `second_weights` (the independent
-    reversed-direction draw); its trace is attached as `twin` and the
-    output is the sum of the two directional readouts. A flipped input
-    order feeds the reversed sequence, and the trace describes the
-    sequence as fed.
-    """
-    arr = _check_sequence(x, weights)
-    if variant.input_order is InputOrder.FLIPPED:
-        arr = arr[::-1].copy()
-    pooled = variant.pooled
-    if variant.bidirectional:
-        if second_weights is None:
-            raise ValueError("bidirectional variants need second_weights")
-        main = forward(weights, params, arr, Variant(Arch.RNN_AVG if pooled else Arch.RNN))
-        twin = forward(second_weights, params, arr[::-1].copy(),
-                       Variant(Arch.RNN_AVG if pooled else Arch.RNN))
-        return ForwardTrace(g=main.g, h=main.h, heads=main.heads,
-                            output=main.output + twin.output, twin=twin)
-    H, masks, heads, G = _forward_cols(weights, params, arr[:, None], keep_g=True)
-    del masks
-    out = float(heads[:, 0].sum()) if pooled else float(heads[-1, 0])
-    return ForwardTrace(g=G[..., 0], h=H[..., 0], heads=heads[:, 0], output=out)
-
-
-def _gradient_blocks(weights: RNNWeights, params: HyperParams, x_fed, pooled: bool):
-    """Per-block gradient arrays of the selected readout for one input."""
-    n = weights.width
-    L = weights.depth_L
-    T = x_fed.shape[0]
-    X = x_fed[:, None]
-    H, masks, _, _ = _forward_cols(weights, params, X)
-    Csel = _selectors(T)[:, 1:2] if pooled else _selectors(T)[:, 0:1]
-    Delta = _backward_cols(weights, params, H, masks, Csel)
-    D = Delta[:, :, :, 0, 0]  # (L, T, n)
-
-    sw = params.sigma_w / math.sqrt(n)
-    su = params.sigma_u / math.sqrt(n)
-    sv = params.sigma_v / math.sqrt(n)
-    c = Csel[:, 0]
-
-    gW = [sw * np.einsum("tn,tm->nm", D[layer], H[layer, :T, :, 0]) for layer in range(L)]
-    gU = [params.sigma_u * (D[0].T @ X)]
-    gU += [su * np.einsum("tn,tm->nm", D[layer], H[layer - 1, 1:, :, 0])
-           for layer in range(1, L)]
-    gb = [params.sigma_b * D[layer].sum(axis=0) for layer in range(L)]
-    gV = sv * c[:, None] * H[L - 1, 1:, :, 0]
-    return gW, gU, gb, gV
-
-
-def flatten_rnn(weights: RNNWeights) -> np.ndarray:
-    """Flatten to a vector in block order W[0..L-1], U[0..L-1], b[0..L-1], V."""
-    parts = [w.ravel() for w in weights.W]
-    parts += [u.ravel() for u in weights.U]
-    parts += [bb.ravel() for bb in weights.b]
-    parts.append(weights.V.ravel())
-    return np.concatenate(parts)
-
-
-def unflatten_rnn(flat: np.ndarray, like: RNNWeights) -> RNNWeights:
-    """Inverse of flatten_rnn, using `like` for the block shapes."""
-    arrays = like.W + like.U + like.b + [like.V]
-    expected = sum(arr.size for arr in arrays)
-    if flat.size != expected:
-        raise ShapeError(f"flat vector has {flat.size} entries, expected {expected}")
-    out = []
-    pos = 0
-    for arr in arrays:
-        out.append(flat[pos : pos + arr.size].reshape(arr.shape).copy())
-        pos += arr.size
-    L = like.depth_L
-    return RNNWeights(W=out[:L], U=out[L : 2 * L], b=out[2 * L : 3 * L], V=out[3 * L])
-
-
-def gradient(weights: RNNWeights, params: HyperParams, x, variant: Variant = Variant(),
-             second_weights: Optional[RNNWeights] = None) -> np.ndarray:
-    """Gradient of the variant readout w.r.t. all raw weights, flattened.
-
-    Block order follows flatten_rnn; when `second_weights` is given the
-    second draw's blocks are appended (zero unless the variant is
-    bidirectional, which is the only reader of the second draw).
-    """
-    arr = _check_sequence(x, weights)
-    if variant.input_order is InputOrder.FLIPPED:
-        arr = arr[::-1].copy()
-    pooled = variant.pooled
-    if variant.bidirectional:
-        if second_weights is None:
-            raise ValueError("bidirectional variants need second_weights")
-        gW, gU, gb, gV = _gradient_blocks(weights, params, arr, pooled)
-        main = flatten_rnn(RNNWeights(W=gW, U=gU, b=gb, V=gV))
-        gW2, gU2, gb2, gV2 = _gradient_blocks(second_weights, params,
-                                              arr[::-1].copy(), pooled)
-        twin = flatten_rnn(RNNWeights(W=gW2, U=gU2, b=gb2, V=gV2))
-        return np.concatenate([main, twin])
-    gW, gU, gb, gV = _gradient_blocks(weights, params, arr, pooled)
-    flat = flatten_rnn(RNNWeights(W=gW, U=gU, b=gb, V=gV))
-    if second_weights is not None:
-        flat = np.concatenate([flat, np.zeros(flatten_rnn(second_weights).size)])
-    return flat
-
-
 _CK = "ck"
 _NTK = "ntk"
 
@@ -455,7 +319,7 @@ def _run_net(params, width, seed, X, Csel):
     The draw is dropped on return, so a caller holds at most one at a time.
     """
     weights = _lazy_rnn(params, width, X.shape[0], seed)
-    H, masks, heads, _ = _forward_cols(weights, params, X)
+    H, masks, heads = _forward_cols(weights, params, X)
     return H, heads, _backward_cols(weights, params, H, masks, Csel)
 
 

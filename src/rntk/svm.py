@@ -221,6 +221,11 @@ def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0, rows) -> DualModel:
     """
     if not (C > 0):
         raise ValueError("C must be positive")
+    # tol <= 0 or nan never meets the stopping test; tol = inf stops at once
+    if not (0 < tol < np.inf):
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if alpha0 is not None:
         alpha0 = np.asarray(alpha0, dtype=np.float64)
         if alpha0.shape != y.shape:
@@ -276,6 +281,9 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
         seeds = {m.class_pair: m for m in warm_start.models}
     present = np.unique(lab)
     full = present if label_set is None else np.unique(np.asarray(label_set))
+    stray = sorted(set(present.tolist()) - set(full.tolist()))
+    if stray:
+        raise ValueError(f"labels {stray} are not in label_set {full.tolist()}")
     if full.size < 2:
         raise DegenerateProblemError("need at least two classes")
 

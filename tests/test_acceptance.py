@@ -30,15 +30,12 @@ from rntk import (
     gram,
     kernel_pair,
     sample_rnn,
-    flatten_rnn,
-    unflatten_rnn,
-    forward,
-    gradient,
     vphi,
     vphi_prime,
 )
 from rntk.bench import HyperGrid, load_dataset, run_protocol, run_suite
 from rntk.svm import decision_function, smo_train
+from dense_bptt import central_difference, flat_gradient, n_weights
 from svm_reference import dual_objective, projected_gradient_reference
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "datasets"
@@ -294,24 +291,12 @@ def test_criterion_08_bptt_matches_finite_differences(capsys):
             rng = np.random.default_rng((seed, L, T))
             x = rng.standard_normal(T)
             s1, s2 = np.random.SeedSequence((seed, L, T, 5)).spawn(2)
-            w1 = sample_rnn(params, width, T, s1)
-            w2 = sample_rnn(params, width, T, s2)
-            n1 = flatten_rnn(w1).size
-            both = np.concatenate([flatten_rnn(w1), flatten_rnn(w2)])
+            nets = (sample_rnn(params, width, T, s1), sample_rnn(params, width, T, s2))
             for arch in ARCHS:
                 variant = Variant(arch)
-                g = gradient(w1, params, x, variant, second_weights=w2)
-                for j in rng.choice(both.size, size=n_coords, replace=False):
-                    plus, minus = both.copy(), both.copy()
-                    plus[j] += step
-                    minus[j] -= step
-                    outs = []
-                    for vec in (plus, minus):
-                        trace = forward(unflatten_rnn(vec[:n1], w1), params, x,
-                                        variant,
-                                        second_weights=unflatten_rnn(vec[n1:], w2))
-                        outs.append(trace.output)
-                    fd = (outs[0] - outs[1]) / (2.0 * step)
+                g = flat_gradient(nets, params, x, variant)
+                for j in rng.choice(n_weights(nets), size=n_coords, replace=False):
+                    fd = central_difference(nets, params, x, variant, j, step)
                     scale = max(abs(fd), abs(g[j]))
                     if scale < 1e-12:
                         assert fd == g[j]

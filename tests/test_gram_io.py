@@ -87,6 +87,22 @@ def test_corruption_detected(tmp_path):
         read_gram(empty)
 
 
+def test_header_rejects_unknown_bits(tmp_path):
+    path = tmp_path / "k.gram"
+    write_gram(path, np.ones((2, 2)), KIND_CK, Variant(Arch.RNN_AVG, InputOrder.FLIPPED))
+    raw = path.read_bytes()
+    assert raw[21] == 0x12 and raw[22:24] == b"\x00\x00"
+    # byte 21 is the variant, bytes 22-23 the reserved u16
+    for offset, value in ((21, 0x20), (21, 0x32), (21, 0x04), (22, 7), (23, 1)):
+        tampered = bytearray(raw)
+        tampered[offset] = value
+        path.write_bytes(bytes(tampered))
+        with pytest.raises(GramFormatError):
+            read_gram(path)
+    with pytest.raises(GramFormatError):
+        variant_from_code(0x20)
+
+
 def test_invalid_inputs(tmp_path):
     with pytest.raises(GramFormatError):
         write_gram(tmp_path / "x.gram", np.zeros(3), KIND_CK, Variant())

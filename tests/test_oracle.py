@@ -1,10 +1,11 @@
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rntk import Arch, HyperParams, ShapeError, Variant, flip, kernel_pair
+from rntk import Arch, HyperParams, ShapeError, Variant, kernel_pair
 from rntk.oracle import (
     RNNWeights,
     _backward_cols,
@@ -15,12 +16,9 @@ from rntk.oracle import (
     _suite_trial,
     empirical_cross_head,
     empirical_suite,
-    flatten_rnn,
-    forward,
-    gradient,
     sample_rnn,
-    unflatten_rnn,
 )
+from dense_bptt import central_difference, flat_gradient, gradient_blocks, n_weights, readout
 from lazy_completion import complete
 
 HP = HyperParams(sigma_u=0.5, sigma_b=0.1, sigma_v=0.9, depth_L=2)
@@ -73,28 +71,28 @@ def test_sample_rejects_bad_sizes():
 def test_forward_zero_input_zero_bias():
     params = HyperParams(sigma_u=0.5, sigma_b=0.0, depth_L=2)
     w = sample_rnn(params, width=6, T=4, seed=1)
-    trace = forward(w, params, np.zeros(4))
-    assert np.all(trace.g == 0.0) and np.all(trace.h == 0.0)
-    assert np.all(trace.heads == 0.0) and trace.output == 0.0
+    H, masks, heads = _forward_cols(w, params, np.zeros((4, 1)))
+    assert np.all(H == 0.0) and not masks.any() and np.all(heads == 0.0)
 
 
 def test_forward_initial_state_is_zero():
     w = sample_rnn(HP, width=6, T=3, seed=2)
-    trace = forward(w, HP, [0.3, -1.1, 0.7])
-    assert np.all(trace.h[:, 0] == 0.0)
-    assert trace.g.shape == (2, 3, 6) and trace.h.shape == (2, 4, 6)
+    X = np.array([[0.3, 1.2], [-1.1, 0.4], [0.7, -0.9]])
+    H, masks, heads = _forward_cols(w, HP, X)
+    assert np.all(H[:, 0] == 0.0)
+    assert H.shape == (2, 4, 6, 2) and masks.shape == (2, 3, 6, 2)
+    assert heads.shape == (3, 2)
 
 
 def test_forward_hand_unrolled_single_step():
     w = sample_rnn(HP1, width=3, T=1, seed=7)
-    x = np.array([0.8])
-    trace = forward(w, HP1, x)
+    H, masks, heads = _forward_cols(w, HP1, np.array([[0.8]]))
     g = 0.5 * w.U[0][:, 0] * 0.8 + 0.1 * w.b[0]
     h = np.maximum(g, 0.0)
     f = (1.0 / math.sqrt(3)) * (w.V[0] @ h)
-    assert np.allclose(trace.g[0, 0], g, rtol=0, atol=1e-15)
-    assert np.allclose(trace.h[0, 1], h, rtol=0, atol=1e-15)
-    assert abs(trace.output - f) < 1e-15
+    assert np.array_equal(masks[0, 0, :, 0], g > 0)
+    assert np.allclose(H[0, 1, :, 0], h, rtol=0, atol=1e-15)
+    assert abs(heads[0, 0] - f) < 1e-15
 
 
 def test_forward_hand_unrolled_two_steps_two_layers():
@@ -102,81 +100,27 @@ def test_forward_hand_unrolled_two_steps_two_layers():
     w = sample_rnn(HP, width=n, T=2, seed=9)
     x = np.array([0.8, -0.5])
     sw, su, sb, sv = HP.sigma_w / 2.0, HP.sigma_u, HP.sigma_b, HP.sigma_v / 2.0
-    h1 = np.maximum(su * w.U[0][:, 0] * x[0] + sb * w.b[0], 0.0)
+    g11 = su * w.U[0][:, 0] * x[0] + sb * w.b[0]
+    h1 = np.maximum(g11, 0.0)
     h2 = np.maximum((su / 2.0) * (w.U[1] @ h1) + sb * w.b[1], 0.0)
     g12 = sw * (w.W[0] @ h1) + su * w.U[0][:, 0] * x[1] + sb * w.b[0]
     h12 = np.maximum(g12, 0.0)
-    h22 = np.maximum(sw * (w.W[1] @ h2) + (su / 2.0) * (w.U[1] @ h12) + sb * w.b[1], 0.0)
-    heads = np.array([sv * (w.V[0] @ h2), sv * (w.V[1] @ h22)])
-    trace = forward(w, HP, x, Variant(Arch.RNN_AVG))
-    assert np.allclose(trace.h[0, 1], h1, atol=1e-15)
-    assert np.allclose(trace.h[1, 2], h22, atol=1e-15)
-    assert np.allclose(trace.heads, heads, atol=1e-15)
-    assert abs(trace.output - heads.sum()) < 1e-15
+    g22 = sw * (w.W[1] @ h2) + (su / 2.0) * (w.U[1] @ h12) + sb * w.b[1]
+    h22 = np.maximum(g22, 0.0)
+    want = np.array([sv * (w.V[0] @ h2), sv * (w.V[1] @ h22)])
+    H, masks, heads = _forward_cols(w, HP, x[:, None])
+    assert np.allclose(H[0, 1, :, 0], h1, atol=1e-15)
+    assert np.allclose(H[1, 2, :, 0], h22, atol=1e-15)
+    assert np.array_equal(masks[0, 0, :, 0], g11 > 0)
+    assert np.array_equal(masks[0, 1, :, 0], g12 > 0)
+    assert np.array_equal(masks[1, 1, :, 0], g22 > 0)
+    assert np.allclose(heads[:, 0], want, atol=1e-15)
+    assert abs(readout((w,), HP, x, Variant(Arch.RNN_AVG)) - want.sum()) < 1e-15
 
 
-def test_forward_flipped_order_matches_flipped_input():
-    w = sample_rnn(HP, width=5, T=4, seed=11)
-    x = np.array([0.2, -0.4, 1.3, 0.9])
-    flipped = forward(w, HP, x, Variant.parse("rnn", "flipped"))
-    direct = forward(w, HP, flip(x), Variant.parse("rnn", "default"))
-    assert flipped.output == direct.output
-    assert np.array_equal(flipped.heads, direct.heads)
-
-
-def test_forward_bidirectional_combines_two_nets():
-    w1 = sample_rnn(HP, width=5, T=3, seed=13)
-    w2 = sample_rnn(HP, width=5, T=3, seed=14)
-    x = np.array([0.5, -0.2, 0.8])
-    bi = forward(w1, HP, x, Variant(Arch.BI_RNN), second_weights=w2)
-    f1 = forward(w1, HP, x).output
-    f2 = forward(w2, HP, flip(x)).output
-    assert abs(bi.output - (f1 + f2)) < 1e-15
-    assert bi.twin is not None
-    with pytest.raises(ValueError):
-        forward(w1, HP, x, Variant(Arch.BI_RNN))
-
-
-def test_forward_rejects_bad_input():
-    w = sample_rnn(HP, width=4, T=3, seed=0)
-    with pytest.raises(ShapeError):
-        forward(w, HP, [0.1, 0.2])
-    with pytest.raises(ShapeError):
-        forward(w, HP, [[0.1, 0.2, 0.3]])
-
-
-def test_flatten_round_trip():
-    w = sample_rnn(HP, width=4, T=3, seed=21)
-    flat = flatten_rnn(w)
-    expected = 2 * 16 + (4 + 16) + 2 * 4 + 3 * 4
-    assert flat.shape == (expected,)
-    back = unflatten_rnn(flat, w)
-    assert np.array_equal(back.W[1], w.W[1])
-    assert np.array_equal(back.U[0], w.U[0])
-    assert np.array_equal(back.V, w.V)
-    with pytest.raises(ShapeError):
-        unflatten_rnn(flat[:-1], w)
-
-
-def _value_at(flat, like1, like2, params, x, variant):
-    if like2 is None:
-        return forward(unflatten_rnn(flat, like1), params, x, variant).output
-    n1 = flatten_rnn(like1).size
-    w1 = unflatten_rnn(flat[:n1], like1)
-    w2 = unflatten_rnn(flat[n1:], like2)
-    return forward(w1, params, x, variant, second_weights=w2).output
-
-
-def _numeric_grad(flat, like1, like2, params, x, variant, step=1e-6):
-    out = np.empty_like(flat)
-    for k in range(flat.size):
-        bumped = flat.copy()
-        bumped[k] = flat[k] + step
-        up = _value_at(bumped, like1, like2, params, x, variant)
-        bumped[k] = flat[k] - step
-        down = _value_at(bumped, like1, like2, params, x, variant)
-        out[k] = (up - down) / (2.0 * step)
-    return out
+def _numeric_grad(nets, params, x, variant, step=1e-6):
+    return np.array([central_difference(nets, params, x, variant, j, step)
+                     for j in range(n_weights(nets))])
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.label)
@@ -184,13 +128,11 @@ def test_gradient_matches_finite_differences(variant):
     params = HyperParams(sigma_u=0.5, sigma_b=0.1, sigma_v=0.8, depth_L=2)
     rng = np.random.default_rng(31)
     x = rng.standard_normal(3)
-    w1 = sample_rnn(params, width=5, T=3, seed=32)
-    w2 = sample_rnn(params, width=5, T=3, seed=33) if variant.bidirectional else None
-    grad = gradient(w1, params, x, variant, second_weights=w2)
-    flat = flatten_rnn(w1)
-    if w2 is not None:
-        flat = np.concatenate([flat, flatten_rnn(w2)])
-    fd = _numeric_grad(flat, w1, w2, params, x, variant)
+    nets = (sample_rnn(params, width=5, T=3, seed=32),)
+    if variant.bidirectional:
+        nets += (sample_rnn(params, width=5, T=3, seed=33),)
+    grad = flat_gradient(nets, params, x, variant)
+    fd = _numeric_grad(nets, params, x, variant)
     denom = max(np.linalg.norm(fd), 1e-12)
     assert np.linalg.norm(grad - fd) / denom < 1e-7
 
@@ -199,32 +141,20 @@ def test_gradient_depth_one_finite_differences():
     params = HyperParams(sigma_u=0.25, sigma_b=0.001, depth_L=1)
     x = np.array([1.5, -0.7])
     w = sample_rnn(params, width=4, T=2, seed=41)
-    grad = gradient(w, params, x, Variant(Arch.RNN_AVG))
-    fd = _numeric_grad(flatten_rnn(w), w, None, params, x, Variant(Arch.RNN_AVG))
+    grad = flat_gradient((w,), params, x, Variant(Arch.RNN_AVG))
+    fd = _numeric_grad((w,), params, x, Variant(Arch.RNN_AVG))
     assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-7
 
 
 def test_gradient_unused_heads_are_zero():
     w = sample_rnn(HP, width=4, T=3, seed=51)
     x = np.array([0.4, -0.9, 0.2])
-    grad = gradient(w, HP, x, Variant(Arch.RNN))
-    blocks = unflatten_rnn(grad, w)
+    gV = gradient_blocks(w, HP, x, pooled=False)[3]
     # last-step readout never touches the earlier output heads
-    assert np.all(blocks.V[:2] == 0.0)
-    assert np.any(blocks.V[2] != 0.0)
-    pooled = unflatten_rnn(gradient(w, HP, x, Variant(Arch.RNN_AVG)), w)
-    assert np.all(np.any(pooled.V != 0.0, axis=1))
-
-
-def test_gradient_second_net_zero_for_unidirectional():
-    w1 = sample_rnn(HP, width=4, T=2, seed=52)
-    w2 = sample_rnn(HP, width=4, T=2, seed=53)
-    x = np.array([0.3, 0.6])
-    grad = gradient(w1, HP, x, Variant(Arch.RNN), second_weights=w2)
-    n1 = flatten_rnn(w1).size
-    assert grad.shape == (2 * n1,)
-    assert np.all(grad[n1:] == 0.0)
-    assert np.array_equal(grad[:n1], gradient(w1, HP, x, Variant(Arch.RNN)))
+    assert np.all(gV[:2] == 0.0)
+    assert np.any(gV[2] != 0.0)
+    pooled_gV = gradient_blocks(w, HP, x, pooled=True)[3]
+    assert np.all(np.any(pooled_gV != 0.0, axis=1))
 
 
 def test_empirical_estimates_deterministic():
@@ -257,8 +187,17 @@ def test_estimators_reject_nonpositive_width():
 def test_suite_is_the_only_estimate_route():
     import rntk
 
+    import rntk.oracle
+
     for name in ("empirical_ck", "empirical_ntk", "compose_bidirectional"):
         assert not hasattr(rntk, name), name
+    # the dense forward/gradient route: BPTT runs only through
+    # _forward_cols and _backward_cols
+    for name in ("forward", "ForwardTrace", "gradient", "_gradient_blocks",
+                 "flatten_rnn", "unflatten_rnn", "_check_sequence"):
+        assert not hasattr(rntk, name), name
+        assert not hasattr(rntk.oracle, name), name
+    assert "keep_g" not in inspect.signature(_forward_cols).parameters
     x = np.array([0.6, -0.3])
     with pytest.raises(TypeError):
         empirical_suite(x, x, HP, width=10, trials=2, need_bi=False)
@@ -270,6 +209,10 @@ def test_empirical_rejects_empty_sequences():
         empirical_suite(empty, empty, HP, width=10, trials=2)
     with pytest.raises(ShapeError, match="at least one time step"):
         empirical_cross_head(empty, empty, HP, width=10, trials=2, head_a=0, head_b=0)
+    # unequal lengths and 2-D inputs fail the same shape check
+    for x, xp in (([0.1, 0.2, 0.3], [0.1, 0.2]), ([[0.1, 0.2]], [[0.1, 0.2]])):
+        with pytest.raises(ShapeError, match="1-D sequences of equal length"):
+            empirical_suite(x, xp, HP, width=10, trials=2)
 
 
 def _completed(weights, rng):
@@ -283,7 +226,7 @@ def _completed(weights, rng):
 def _lazy_run(params, width, seed, X, Csel):
     """A lazy draw queried as one estimator trial queries it."""
     lazy = _lazy_rnn(params, width, X.shape[0], seed)
-    H, masks, heads, _ = _forward_cols(lazy, params, X)
+    H, masks, heads = _forward_cols(lazy, params, X)
     Delta = _backward_cols(lazy, params, H, masks, Csel)
     return lazy, (H, masks, heads, Delta)
 
@@ -301,7 +244,7 @@ def test_lazy_draw_matches_its_dense_completion(L, T, width):
     for X in (np.stack([x, xp], axis=1), np.stack([x, x], axis=1)):
         lazy, (H, masks, heads, Delta) = _lazy_run(params, width, (L, T, width), X, Csel)
         dense = _completed(lazy, rng)
-        H2, masks2, heads2, _ = _forward_cols(dense, params, X)
+        H2, masks2, heads2 = _forward_cols(dense, params, X)
         Delta2 = _backward_cols(dense, params, H2, masks2, Csel)
         assert np.array_equal(masks, masks2)
         for got, want in ((H, H2), (heads, heads2), (Delta, Delta2)):
@@ -349,9 +292,9 @@ def test_suite_crosscheck_structured_inner_vs_flat_gradients():
                   for ss, X in zip(pair, (x2, x2[::-1].copy())))
         for arch in totals:
             variant = Variant(arch)
-            w2_arg = w2 if variant.bidirectional else None
-            ga = gradient(w1, params, x, variant, second_weights=w2_arg)
-            gb = gradient(w1, params, xp, variant, second_weights=w2_arg)
+            nets = (w1, w2) if variant.bidirectional else (w1,)
+            ga = flat_gradient(nets, params, x, variant)
+            gb = flat_gradient(nets, params, xp, variant)
             totals[arch].append(float(ga @ gb))
     for arch, vals in totals.items():
         est = suite[(arch, "ntk")]

@@ -135,6 +135,26 @@ def test_input_validation():
         smo_train(np.eye(2), [1.0, -1.0], C=1.0, alpha0=[0.5, 0.5, 0.0])
 
 
+def test_bad_solver_settings_rejected_before_iterating():
+    # tol <= 0 or nan never meets the stopping test and runs to max_iter;
+    # tol = inf stops before the first step
+    gram, y = random_problem(51)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            smo_train(gram, y, C=1.0, tol=tol, max_iter=1000)
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            train_multiclass(gram, (y > 0).astype(int), C=1.0, tol=tol, max_iter=1000)
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            smo_train(gram, y, C=1.0, max_iter=max_iter)
+
+
+def test_labels_outside_label_set_rejected():
+    labels = np.array([0, 0, 1, 1, 2, 2])
+    with pytest.raises(ValueError, match=r"labels \[2\] are not in label_set \[0, 1\]"):
+        train_multiclass(np.eye(6), labels, C=1.0, label_set=[0, 1])
+
+
 def test_dual_model_invariants_enforced():
     with pytest.raises(ValueError):
         DualModel(support_indices=np.array([0, 1]), alphas=np.array([1.0, 1.0]),
