@@ -16,6 +16,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -95,6 +96,12 @@ class HyperGrid:
     rbf_gamma_scaled: tuple = (0.01, 0.1, 1.0, 10.0)
     poly_degrees: tuple = (2, 3)
     methods: tuple = ("rnn", "bi-rnn", "rnn-avg", "bi-rnn-avg", "rnn-p", "rbf", "poly")
+
+    def __post_init__(self):
+        for name in ("sigma_u_set", "sigma_b_set", "L_set", "C_set", "rbf_gamma_scaled",
+                     "poly_degrees", "methods"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"HyperGrid.{name} must not be empty")
 
 
 # variant/ordering combinations each method feeds into the validation grid;
@@ -258,14 +265,15 @@ def sigma_v_for(variant: Variant, T: int) -> float:
 
 @dataclass(frozen=True)
 class RNNKernelSpec:
+    """A (params, variant) member of the kernel engine; params.sigma_v is sigma_v_for's."""
+
+    params: HyperParams
     variant: Variant
-    sigma_u: float
-    sigma_b: float
-    depth_L: int
 
     def label(self, selector, C) -> str:
-        return (f"{self.variant.label}|su={self.sigma_u}|sb={self.sigma_b}"
-                f"|L={self.depth_L}|{selector}|C={C:g}")
+        p = self.params
+        return (f"{self.variant.label}|su={p.sigma_u}|sb={p.sigma_b}"
+                f"|L={p.depth_L}|{selector}|C={C:g}")
 
 
 @dataclass(frozen=True)
@@ -291,16 +299,13 @@ def _sq_dists(A, B):
     return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
 
 
-def _family_matrices(specs, grid: HyperGrid, T: int, train_X, test_X, threads):
-    """{spec: {selector: (train Gram, cross Gram)}} of RNN specs sharing (sigma_u, sigma_b).
+def _family_matrices(specs, train_X, test_X, threads):
+    """{spec: {selector: (train Gram, cross Gram)}} of RNN specs of one family.
 
     All of them come from one train-by-train and one test-by-train call,
     bit for bit what `gram`/`gram_cross` return for each spec alone.
     """
-    members = [(HyperParams(sigma_w=grid.sigma_w, sigma_u=spec.sigma_u,
-                            sigma_b=spec.sigma_b, sigma_v=sigma_v_for(spec.variant, T),
-                            depth_L=spec.depth_L), spec.variant)
-               for spec in specs]
+    members = [(spec.params, spec.variant) for spec in specs]
     fulls = gram_family(train_X, members, threads=threads)
     crosses = gram_cross_family(train_X, test_X, members, threads=threads)
     return {spec: {SELECTOR_CK: (full.ck, cross.ck), SELECTOR_NTK: (full.ntk, cross.ntk)}
@@ -320,29 +325,24 @@ def _baseline_matrices(spec, train_X, test_X):
 
 def _method_configs(method: str, grid: HyperGrid, T: int):
     """(spec, selector, C) triples a method contributes to the search."""
-    configs = []
+    selectors = (None,)
     if method in METHOD_VARIANTS:
+        specs = []
         for arch, order in METHOD_VARIANTS[method]:
-            for su in grid.sigma_u_set:
-                for sb in grid.sigma_b_set:
-                    for L in grid.L_set:
-                        spec = RNNKernelSpec(Variant(arch, order), su, sb, L)
-                        for selector in (SELECTOR_CK, SELECTOR_NTK):
-                            for C in grid.C_set:
-                                configs.append((spec, selector, C))
+            variant = Variant(arch, order)
+            sigma_v = sigma_v_for(variant, T)
+            for su, sb, L in product(grid.sigma_u_set, grid.sigma_b_set, grid.L_set):
+                params = HyperParams(sigma_w=grid.sigma_w, sigma_u=su, sigma_b=sb,
+                                     sigma_v=sigma_v, depth_L=L)
+                specs.append(RNNKernelSpec(params, variant))
+        selectors = (SELECTOR_CK, SELECTOR_NTK)
     elif method == "rbf":
-        for g in grid.rbf_gamma_scaled:
-            spec = RBFSpec(gamma=g / T)
-            for C in grid.C_set:
-                configs.append((spec, None, C))
+        specs = [RBFSpec(gamma=g / T) for g in grid.rbf_gamma_scaled]
     elif method == "poly":
-        for d in grid.poly_degrees:
-            spec = PolySpec(degree=d, T=T)
-            for C in grid.C_set:
-                configs.append((spec, None, C))
+        specs = [PolySpec(degree=d, T=T) for d in grid.poly_degrees]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return configs
+    return [(spec, sel, C) for spec in specs for sel, C in product(selectors, grid.C_set)]
 
 
 @dataclass
@@ -357,40 +357,42 @@ class ProtocolResult:
     gram_computations: int
 
 
-def _predictions(configs, grid: HyperGrid, T: int, train_X, test_X, train_y,
-                 label_set, threads):
+def _predictions(configs, train_X, test_X, train_y, label_set, threads):
     """Train every distinct configuration on one split and predict its test rows.
 
-    Returns ({config: predicted labels}, distinct kernel specs). Configs
-    run in order. The first RNN spec of a (sigma_u, sigma_b) family brings
-    the kernels of every spec of that family in the configs, from one
-    family computation; each spec's kernels are shared by both selectors
-    and every C. Each fit is seeded with the last model of its (spec,
-    selector), so with the ascending default C_set it starts from the
-    solution at the previous C. The Grams die on return.
+    Returns ({config: predicted labels}, distinct kernel specs). Distinct
+    configs run one kernel family at a time (RNN specs sharing sigma_w,
+    sigma_u and sigma_b; each baseline spec alone), families in order of
+    first appearance and configs in order within each. A family's kernels
+    come from one computation, serve both selectors and every C, and are
+    dropped before the next family's are computed. Each fit is seeded with
+    the last model of its (spec, selector): along the ascending default
+    C_set, the solution at the previous C.
     """
     families = {}
-    for spec, _, _ in configs:
+    for cfg in dict.fromkeys(configs):
+        spec = key = cfg[0]
         if isinstance(spec, RNNKernelSpec):
-            families.setdefault((spec.sigma_u, spec.sigma_b), {})[spec] = None
-    kernels, last_models, preds = {}, {}, {}
-    for cfg in configs:
-        if cfg in preds:
-            continue
-        spec, selector, C = cfg
-        if spec not in kernels:
-            if isinstance(spec, RNNKernelSpec):
-                kernels.update(_family_matrices(
-                    list(families[(spec.sigma_u, spec.sigma_b)]), grid, T,
-                    train_X, test_X, threads))
-            else:
-                kernels[spec] = _baseline_matrices(spec, train_X, test_X)
-        K, cross = kernels[spec][selector]
-        model = train_multiclass(K, train_y, C=C, label_set=label_set,
-                                 warm_start=last_models.get((spec, selector)))
-        last_models[(spec, selector)] = model
-        preds[cfg] = predict(model, cross)
-    return preds, len(kernels)
+            key = (spec.params.sigma_w, spec.params.sigma_u, spec.params.sigma_b)
+        families.setdefault(key, []).append(cfg)
+    last_models, preds, computed = {}, {}, 0
+    for group in families.values():
+        specs = list(dict.fromkeys(spec for spec, _, _ in group))
+        if isinstance(specs[0], RNNKernelSpec):
+            kernels = _family_matrices(specs, train_X, test_X, threads)
+        else:
+            kernels = {specs[0]: _baseline_matrices(specs[0], train_X, test_X)}
+        computed += len(kernels)
+        for cfg in group:
+            spec, selector, C = cfg
+            K, cross = kernels[spec][selector]
+            model = train_multiclass(K, train_y, C=C, label_set=label_set,
+                                     warm_start=last_models.get((spec, selector)))
+            last_models[(spec, selector)] = model
+            preds[cfg] = predict(model, cross)
+        # free them now: rebinding would keep them alive through the next computation
+        del kernels, K, cross
+    return preds, computed
 
 
 def _vote(predictions, n_classes):
@@ -431,7 +433,7 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
 
     method_configs = {m: _method_configs(m, grid, dataset.T) for m in grid.methods}
     preds, gram_computations = _predictions(
-        [cfg for m in grid.methods for cfg in method_configs[m]], grid, dataset.T,
+        [cfg for m in grid.methods for cfg in method_configs[m]],
         tr_X, val_X, tr_y, label_set, threads)
     validation_best = {}
     best_configs = {}
@@ -449,7 +451,7 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
         fit_X, te_X = normalize(dataset.features[fit_idx], dataset.features[fold])
         fit_y, te_y = dataset.labels[fit_idx], dataset.labels[fold]
         preds, computed = _predictions(
-            [cfg for m in grid.methods for cfg in best_configs[m]], grid, dataset.T,
+            [cfg for m in grid.methods for cfg in best_configs[m]],
             fit_X, te_X, fit_y, label_set, threads)
         gram_computations += computed
         for method in grid.methods:

@@ -87,6 +87,9 @@ def _check_gram(gram) -> np.ndarray:
     K = np.asarray(gram, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ShapeError(f"gram must be square, got shape {K.shape}")
+    # an inf entry would stall SMO until max_iter; a NaN would fail the symmetry test
+    if not np.isfinite(K).all():
+        raise ValueError("gram must be finite")
     # the exact comparison is a fast path for the common, exactly symmetric case
     if not (np.array_equal(K, K.T) or np.allclose(K, K.T, rtol=1e-10, atol=1e-12)):
         raise ShapeError("gram must be symmetric")
@@ -219,8 +222,9 @@ def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0, rows) -> DualModel:
     the training-set position of row k of K, which the model's support
     indices name.
     """
-    if not (C > 0):
-        raise ValueError("C must be positive")
+    # C = inf turns the 1e-8 * max(1, C) equality tolerances below into inf
+    if not (0 < C < np.inf):
+        raise ValueError(f"C must be a finite number > 0, got {C}")
     # tol <= 0 or nan never meets the stopping test; tol = inf stops at once
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")

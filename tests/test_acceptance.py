@@ -13,6 +13,7 @@ degrees of freedom each, about 12.6% of seeds would read above 3
 trials and cells, 3 read above 3 (2.5 expected), and seed 0 reads 2.75.
 """
 
+import json
 import math
 import time
 from pathlib import Path
@@ -336,13 +337,29 @@ def test_criterion_09_benchmark_protocol(capsys):
     assert again.best_configs == first.best_configs
     assert again.fold_accuracies == first.fold_accuracies
 
+    # every result on the bundled datasets with their default splits; the
+    # file is json.dumps(observed, indent=1, sort_keys=True), rewritten only
+    # by a change that says why the results moved
+    observed = {r.dataset: {"accuracies": r.accuracies,
+                            "validation_best": r.validation_best,
+                            "best_configs": r.best_configs,
+                            "fold_accuracies": r.fold_accuracies,
+                            "gram_computations": r.gram_computations}
+                for r in results}
+    expected = json.loads((Path(__file__).parent / "protocol_results.json")
+                          .read_text(encoding="utf-8"))
+    moved = sorted(name for name in observed.keys() | expected.keys()
+                   if observed.get(name) != expected.get(name))
+
     elapsed = time.monotonic() - start
-    ok = floor_count >= 2 and elapsed < 1800.0
+    ok = floor_count >= 2 and not moved and elapsed < 1800.0
     _report(capsys, 9, "benchmark protocol end to end", ok,
             f"{len(datasets)} datasets, best RNN kernel >= RBF on "
             f"{floor_count} (need 2), deterministic rerun OK, "
+            f"results moved on {moved or 'none'} of protocol_results.json, "
             f"{elapsed:.0f}s vs 1800s")
     assert floor_count >= 2
+    assert not moved, f"protocol results differ from protocol_results.json on {moved}"
     assert elapsed < 1800.0
 
 

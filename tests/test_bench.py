@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rntk import Arch, InputOrder, ShapeError, Variant, bench
+from rntk import Arch, HyperParams, InputOrder, ShapeError, Variant, bench
 from rntk.bench import (
     BenchReport,
     Dataset,
@@ -218,6 +218,13 @@ def test_vote_rules():
     assert np.array_equal(_vote([a, b], 3), [0, 1])
 
 
+def test_grid_rejects_empty_search_sets():
+    for name in ("sigma_u_set", "sigma_b_set", "L_set", "C_set", "rbf_gamma_scaled",
+                 "poly_degrees", "methods"):
+        with pytest.raises(ValueError, match=f"HyperGrid.{name} must not be empty"):
+            HyperGrid(**{name: ()})
+
+
 def test_method_configs_counts():
     grid = HyperGrid()
     assert len(_method_configs("rnn", grid, 5)) == 80
@@ -233,7 +240,9 @@ def test_predictions_share_kernels_and_free_them(monkeypatch):
     ds = make_dataset(1)
     shapes = ((Arch.RNN, InputOrder.DEFAULT, 1), (Arch.BI_RNN_AVG, InputOrder.DEFAULT, 2),
               (Arch.RNN_AVG, InputOrder.FLIPPED, 2))
-    specs = [RNNKernelSpec(Variant(arch, order), su, 0.1, L)
+    specs = [RNNKernelSpec(HyperParams(sigma_u=su, sigma_b=0.1, depth_L=L,
+                                       sigma_v=sigma_v_for(Variant(arch, order), ds.T)),
+                           Variant(arch, order))
              for su in (0.5, 0.25) for arch, order, L in shapes]
     configs = [(spec, sel, C) for spec in specs for sel in ("ck", "ntk")
                for C in (1.0, 100.0)]
@@ -245,7 +254,7 @@ def test_predictions_share_kernels_and_free_them(monkeypatch):
 
     def spec_of(params, variant):
         assert params.sigma_v == sigma_v_for(variant, ds.T)
-        return RNNKernelSpec(variant, params.sigma_u, params.sigma_b, params.depth_L)
+        return RNNKernelSpec(params, variant)
 
     def spy_family(data, members, **kwargs):
         out = real_family(data, members, **kwargs)
@@ -271,9 +280,8 @@ def test_predictions_share_kernels_and_free_them(monkeypatch):
     monkeypatch.setattr(bench, "gram", one_spec_engine)
     monkeypatch.setattr(bench, "gram_cross", one_spec_engine)
     monkeypatch.setattr(bench, "train_multiclass", spy_train)
-    preds, computed = _predictions(configs, SMALL_GRID, ds.T, ds.features[:8],
-                                   ds.features[8:], ds.labels[:8], np.arange(2),
-                                   threads=1)
+    preds, computed = _predictions(configs, ds.features[:8], ds.features[8:],
+                                   ds.labels[:8], np.arange(2), threads=1)
     # one family computation per (sigma_u, sigma_b) serves all three of its
     # specs; the count is still distinct specs (six RNN, one RBF)
     assert computed == 7
@@ -288,8 +296,56 @@ def test_predictions_share_kernels_and_free_them(monkeypatch):
             assert gram_id == grams[spec][1 if sel == "ck" else 2], (spec, sel, C)
         assert warm is last.get((spec, sel)), (spec, sel, C)
         last[(spec, sel)] = model
-    # only one context's Grams live at a time: they die on return
+    # the last family's Grams die on return too
     assert all(ref() is None for ref, _, _ in grams.values())
+
+
+def test_predictions_hold_one_family_of_matrices_at_a_time(monkeypatch):
+    # configs ordered by method, as run_protocol orders them: the two
+    # (sigma_u, sigma_b) families of "rnn" come back in "rnn-avg", after rbf
+    ds = make_dataset(3)
+    grid = HyperGrid(sigma_u_set=(0.25, 0.5), sigma_b_set=(0.1,), L_set=(1, 2),
+                     C_set=(1.0, 100.0), rbf_gamma_scaled=(0.1, 1.0),
+                     methods=("rnn", "rbf", "rnn-avg"))
+    configs = [cfg for m in grid.methods for cfg in _method_configs(m, grid, ds.T)]
+    alive, computed_specs = [], []
+    real_family, real_cross = bench.gram_family, bench.gram_cross_family
+    real_baseline = bench._baseline_matrices
+
+    def fresh(specs):
+        assert all(ref() is None for ref in alive), "an earlier family is still alive"
+        computed_specs.append(specs)
+
+    def spy_family(data, members, **kwargs):
+        fresh([RNNKernelSpec(*m) for m in members])
+        out = real_family(data, members, **kwargs)
+        alive.extend(weakref.ref(m) for pair in out for m in (pair.ck, pair.ntk))
+        return out
+
+    def spy_cross(train, test, members, **kwargs):
+        out = real_cross(train, test, members, **kwargs)
+        alive.extend(weakref.ref(m) for pair in out for m in (pair.ck, pair.ntk))
+        return out
+
+    def spy_baseline(spec, train_X, test_X):
+        fresh([spec])
+        out = real_baseline(spec, train_X, test_X)
+        alive.extend(weakref.ref(m) for m in out[None])
+        return out
+
+    monkeypatch.setattr(bench, "gram_family", spy_family)
+    monkeypatch.setattr(bench, "gram_cross_family", spy_cross)
+    monkeypatch.setattr(bench, "_baseline_matrices", spy_baseline)
+    preds, computed = _predictions(configs, ds.features[:8], ds.features[8:],
+                                   ds.labels[:8], np.arange(2), threads=1)
+    rnn = [dict.fromkeys(s for s, _, _ in _method_configs(m, grid, ds.T))
+           for m in ("rnn", "rnn-avg")]
+    family = [[s for specs in rnn for s in specs if s.params.sigma_u == su]
+              for su in (0.25, 0.5)]
+    rbf = list(dict.fromkeys(s for s, _, _ in _method_configs("rbf", grid, ds.T)))
+    assert computed_specs == [family[0], family[1], [rbf[0]], [rbf[1]]]
+    assert computed == 10 and set(preds) == set(configs)
+    assert all(ref() is None for ref in alive)
 
 
 def test_protocol_deterministic_and_counted():

@@ -149,6 +149,26 @@ def test_bad_solver_settings_rejected_before_iterating():
             smo_train(gram, y, C=1.0, max_iter=max_iter)
 
 
+def test_non_finite_gram_and_infinite_C_rejected_before_iterating():
+    # an inf entry ran SMO to max_iter and surfaced a bare LinAlgError, and a
+    # NaN read as asymmetry; C = inf made the equality tolerances
+    # 1e-8 * max(1, C) infinite
+    gram, y = random_problem(53)
+    labels = (y > 0).astype(int)
+    for bad in (np.inf, -np.inf, np.nan):
+        K = gram.copy()
+        K[0, 1] = K[1, 0] = bad
+        with pytest.raises(ValueError, match="gram must be finite"):
+            smo_train(K, y, C=1.0, max_iter=1000)
+        with pytest.raises(ValueError, match="gram must be finite"):
+            train_multiclass(K, labels, C=1.0, max_iter=1000)
+    for C in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="C must be a finite number > 0"):
+            smo_train(gram, y, C=C, max_iter=1000)
+        with pytest.raises(ValueError, match="C must be a finite number > 0"):
+            train_multiclass(gram, labels, C=C, max_iter=1000)
+
+
 def test_labels_outside_label_set_rejected():
     labels = np.array([0, 0, 1, 1, 2, 2])
     with pytest.raises(ValueError, match=r"labels \[2\] are not in label_set \[0, 1\]"):
