@@ -4,7 +4,6 @@ from .kernels import (
     Arch,
     CompositionError,
     Cov2,
-    CrossGram,
     GramPair,
     HyperParams,
     InputOrder,
@@ -35,7 +34,6 @@ __all__ = [
     "Arch",
     "CompositionError",
     "Cov2",
-    "CrossGram",
     "GramPair",
     "HyperParams",
     "InputOrder",

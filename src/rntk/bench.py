@@ -79,6 +79,26 @@ class Dataset:
         return self.features.shape[1]
 
 
+METHODS = ("rnn", "bi-rnn", "rnn-avg", "bi-rnn-avg", "rnn-p", "rbf", "poly")
+
+
+def _positive(v) -> bool:
+    """v is a finite real > 0."""
+    return isinstance(v, (int, float)) and math.isfinite(v) and v > 0
+
+
+# HyperGrid's search sets: (field, test of each value, what the test asks)
+_GRID_SETS = (
+    ("sigma_u_set", _positive, "finite and > 0"),
+    ("sigma_b_set", lambda v: v == 0 or _positive(v), "finite and >= 0"),
+    ("L_set", lambda v: isinstance(v, int) and v >= 1, "positive integers"),
+    ("C_set", _positive, "finite and > 0"),
+    ("rbf_gamma_scaled", _positive, "finite and > 0"),
+    ("poly_degrees", lambda v: isinstance(v, int) and v >= 1, "positive integers"),
+    ("methods", METHODS.__contains__, "among " + ", ".join(METHODS)),
+)
+
+
 @dataclass(frozen=True)
 class HyperGrid:
     """Search space of the protocol; sigma_w stays fixed.
@@ -95,13 +115,20 @@ class HyperGrid:
     sigma_w: float = math.sqrt(2.0)
     rbf_gamma_scaled: tuple = (0.01, 0.1, 1.0, 10.0)
     poly_degrees: tuple = (2, 3)
-    methods: tuple = ("rnn", "bi-rnn", "rnn-avg", "bi-rnn-avg", "rnn-p", "rbf", "poly")
+    methods: tuple = METHODS
 
     def __post_init__(self):
-        for name in ("sigma_u_set", "sigma_b_set", "L_set", "C_set", "rbf_gamma_scaled",
-                     "poly_degrees", "methods"):
-            if len(getattr(self, name)) == 0:
+        for name, valid, what in _GRID_SETS:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"HyperGrid.{name} must not be empty")
+            bad = [v for v in values if not valid(v)]
+            if bad:
+                raise ValueError(f"HyperGrid.{name} values must be {what}, got {bad}")
+        if not _positive(self.sigma_w):
+            raise ValueError(f"HyperGrid.sigma_w must be finite and > 0, got {self.sigma_w!r}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"HyperGrid.methods must name each method once, got {self.methods}")
 
 
 # variant/ordering combinations each method feeds into the validation grid;
@@ -507,6 +534,11 @@ def compute_metrics(acc_table, method_names=None, dataset_names=None,
     table = np.asarray(acc_table, dtype=np.float64)
     if table.ndim != 2 or table.size == 0:
         raise ValueError("accuracy table must be a nonempty 2-D array")
+    bad = np.argwhere(~((table >= 0.0) & (table <= 1.0)))
+    if bad.size:
+        cell = tuple(bad[0].tolist())
+        raise ValueError(f"accuracy table values must be finite and in [0, 1], "
+                         f"got {table[cell]} at {cell}")
     D, M = table.shape
     if method_names is None:
         method_names = tuple(f"method-{i}" for i in range(M))

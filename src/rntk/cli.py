@@ -194,15 +194,12 @@ def cmd_bench(args) -> int:
     grid = HyperGrid()
     if args.methods is not None:
         wanted = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        unknown = [m for m in wanted if m not in grid.methods]
-        if unknown:
-            print(f"unknown methods: {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        if not wanted or len(set(wanted)) < len(wanted):
-            print(f"--methods must name each method once, got {args.methods!r}",
+        try:
+            grid = HyperGrid(methods=wanted)
+        except ValueError as exc:
+            print(f"--methods must list known methods, each method once: {exc}",
                   file=sys.stderr)
             return 2
-        grid = HyperGrid(methods=wanted)
     datasets = []
     splits_map = {}
     for p in paths:

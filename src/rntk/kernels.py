@@ -381,7 +381,7 @@ class Readout(NamedTuple):
     output: int
 
 
-def _readouts(params: HyperParams, variant: Variant, output: int = 0) -> list[Readout]:
+def _readouts(params: HyperParams, variant: Variant, output: int) -> list[Readout]:
     """The readouts of one kernel: a bidirectional one reads both passes."""
     if variant.bidirectional:
         directions = (False, True)
@@ -547,22 +547,14 @@ def _as_matrix(data, name: str = "dataset") -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramPair:
-    """CK and NTK Gram matrices over one dataset.
+    """CK and NTK kernel matrices of one (params, variant) member.
 
-    Both matrices are exactly symmetric (the upper triangle is computed
-    and mirrored) and positive semi-definite up to numerical tolerance; NTK
-    diagonal entries dominate CK diagonal entries.
+    From `gram`/`gram_family` they are a dataset's Grams: exactly symmetric
+    (the upper triangle is computed and mirrored) and positive semi-definite
+    up to numerical tolerance, with NTK diagonal entries dominating CK
+    diagonal entries. From `gram_cross`/`gram_cross_family` they are
+    test-by-train blocks: rows index test points, columns train points.
     """
-
-    ck: np.ndarray
-    ntk: np.ndarray
-    params: HyperParams
-    variant: Variant
-
-
-@dataclass(frozen=True)
-class CrossGram:
-    """Rectangular CK/NTK kernel blocks: rows index test points, columns train points."""
 
     ck: np.ndarray
     ntk: np.ndarray
@@ -577,27 +569,18 @@ def gram(data, params: HyperParams, variant: Variant = Variant(), *,
     Entry (i, j) matches `kernel_pair` on rows i and j with the variant's
     readout, input ordering, and sigma_v scaling applied. Only the upper
     triangle is computed; mirroring makes symmetry exact by construction.
+    This is the one-member `gram_family`.
     """
-    X = _as_matrix(data)
-    (ck, ntk), = _kernel_blocks(X, X, params, _readouts(params, variant), threads)
-    return GramPair(ck=ck, ntk=ntk, params=params, variant=variant)
-
-
-def _cross_inputs(train, test):
-    Xtr = _as_matrix(train, "train")
-    Xte = _as_matrix(test, "test")
-    if Xtr.shape[1] != Xte.shape[1]:
-        raise ShapeError(
-            f"feature length mismatch: train T={Xtr.shape[1]}, test T={Xte.shape[1]}")
-    return Xtr, Xte
+    return gram_family(data, [(params, variant)], threads=threads)[0]
 
 
 def gram_cross(train, test, params: HyperParams, variant: Variant = Variant(), *,
-               threads=None) -> CrossGram:
-    """Kernels between test rows and train rows: entry (i, j) = k(test_i, train_j)."""
-    Xtr, Xte = _cross_inputs(train, test)
-    (ck, ntk), = _kernel_blocks(Xte, Xtr, params, _readouts(params, variant), threads)
-    return CrossGram(ck=ck, ntk=ntk, params=params, variant=variant)
+               threads=None) -> GramPair:
+    """Kernels between test rows and train rows: entry (i, j) = k(test_i, train_j).
+
+    This is the one-member `gram_cross_family`.
+    """
+    return gram_cross_family(train, test, [(params, variant)], threads=threads)[0]
 
 
 def _family(members) -> tuple[HyperParams, list[Readout]]:
@@ -625,11 +608,15 @@ def gram_family(data, members, *, threads=None) -> list[GramPair]:
             for (ck, ntk), (params, variant) in zip(outputs, members)]
 
 
-def gram_cross_family(train, test, members, *, threads=None) -> list[CrossGram]:
+def gram_cross_family(train, test, members, *, threads=None) -> list[GramPair]:
     """`gram_cross` of every (params, variant) member, as `gram_family` computes them."""
-    Xtr, Xte = _cross_inputs(train, test)
+    Xtr = _as_matrix(train, "train")
+    Xte = _as_matrix(test, "test")
+    if Xtr.shape[1] != Xte.shape[1]:
+        raise ShapeError(
+            f"feature length mismatch: train T={Xtr.shape[1]}, test T={Xte.shape[1]}")
     outputs = _kernel_blocks(Xte, Xtr, *_family(members), threads)
-    return [CrossGram(ck=ck, ntk=ntk, params=params, variant=variant)
+    return [GramPair(ck=ck, ntk=ntk, params=params, variant=variant)
             for (ck, ntk), (params, variant) in zip(outputs, members)]
 
 

@@ -260,13 +260,29 @@ def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0, rows) -> DualModel:
                      bias=bias, C=C, class_pair=class_pair)
 
 
+def _integer_labels(values, name: str) -> np.ndarray:
+    """values as an integer array; integer-valued floats are converted."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "iu":
+        return arr
+    flat = arr.ravel()
+    if arr.dtype.kind == "f":
+        # NaN and inf fail the bound
+        ok = (np.abs(flat) < 2.0**63) & (flat == np.trunc(flat))
+        if ok.all():
+            return arr.astype(np.int64)
+        flat = flat[~ok]
+    raise ValueError(f"{name} must be integers, got {flat[:3].tolist()}")
+
+
 def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
                      max_iter: int = 10_000_000, label_set=None,
                      warm_start: Optional[MultiClassModel] = None) -> MultiClassModel:
     """Train one-vs-one binary models for every unordered label pair.
 
-    label_set widens the pair list beyond the labels present in this
-    training split; pairs involving an absent class fall back to a
+    labels and label_set hold integers; integer-valued floats count as
+    integers. label_set widens the pair list beyond the labels present in
+    this training split; pairs involving an absent class fall back to a
     constant vote for the majority training class (and are logged). The
     smaller label of each pair is mapped to +1.
 
@@ -275,7 +291,7 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
     C starts SMO from that model's alphas; any other pair starts at zero.
     """
     K = _check_gram(gram)
-    lab = np.asarray(labels)
+    lab = _integer_labels(labels, "labels")
     if lab.shape != (K.shape[0],):
         raise ShapeError("labels must be a vector matching the gram size")
     seeds = {}
@@ -284,7 +300,7 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
             raise ShapeError("warm_start was trained on a gram of another size")
         seeds = {m.class_pair: m for m in warm_start.models}
     present = np.unique(lab)
-    full = present if label_set is None else np.unique(np.asarray(label_set))
+    full = present if label_set is None else np.unique(_integer_labels(label_set, "label_set"))
     stray = sorted(set(present.tolist()) - set(full.tolist()))
     if stray:
         raise ValueError(f"labels {stray} are not in label_set {full.tolist()}")

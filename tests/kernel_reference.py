@@ -12,7 +12,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from rntk.kernels import (
-    CrossGram,
     GramPair,
     HyperParams,
     InputOrder,
@@ -196,7 +195,7 @@ def reference_gram(data, params: HyperParams, variant: Variant = Variant(), *,
 
 
 def reference_gram_cross(train, test, params: HyperParams, variant: Variant = Variant(), *,
-                         tile_pairs: int = TILE_PAIRS, threads=None) -> CrossGram:
+                         tile_pairs: int = TILE_PAIRS, threads=None) -> GramPair:
     """The pair engine's `gram_cross`: every (test row, train row) pair."""
     Xtr = _as_matrix(train, "train")
     Xte = _as_matrix(test, "test")
@@ -213,5 +212,5 @@ def reference_gram_cross(train, test, params: HyperParams, variant: Variant = Va
         else:
             ck_flat = ck_flat + ck_dir
             ntk_flat = ntk_flat + ntk_dir
-    return CrossGram(ck=ck_flat.reshape(n_te, n_tr), ntk=ntk_flat.reshape(n_te, n_tr),
-                     params=params, variant=variant)
+    return GramPair(ck=ck_flat.reshape(n_te, n_tr), ntk=ntk_flat.reshape(n_te, n_tr),
+                    params=params, variant=variant)

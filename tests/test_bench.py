@@ -198,6 +198,9 @@ def test_metrics_errors():
         compute_metrics(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         compute_metrics(np.ones((2, 2)), ("only-one",))
+    for cell in (float("nan"), float("inf"), 1.5, -0.1):
+        with pytest.raises(ValueError, match=r"finite and in \[0, 1\].* at \(1, 0\)"):
+            compute_metrics(np.array([[0.5, 0.6], [cell, 0.7]]))
 
 
 def test_rank_sum_invariant_random_tables():
@@ -223,6 +226,22 @@ def test_grid_rejects_empty_search_sets():
                  "poly_degrees", "methods"):
         with pytest.raises(ValueError, match=f"HyperGrid.{name} must not be empty"):
             HyperGrid(**{name: ()})
+
+
+def test_grid_rejects_bad_values():
+    bad = {"sigma_u_set": [(0.0,), (-0.5,), (float("inf"),), ("0.5",)],
+           "sigma_b_set": [(-0.1,), (float("nan"),)],
+           "L_set": [(0,), (1.5,), (2.0,)],
+           "C_set": [(0.0,), (-1.0,), (float("inf"),), (float("nan"),)],
+           "rbf_gamma_scaled": [(-1.0,), (0.0,), (float("nan"),)],
+           "poly_degrees": [(1.5,), (0,), (-2,)],
+           "methods": [("rbf", "bogus"), ("rbf", "rbf")],
+           "sigma_w": [0.0, -1.0, float("nan"), float("inf")]}
+    for name, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=f"HyperGrid.{name} "):
+                HyperGrid(**{name: value})
+    HyperGrid(sigma_b_set=(0.0, 0.1), C_set=(1, 2.5), L_set=(3,))
 
 
 def test_method_configs_counts():

@@ -194,7 +194,7 @@ def test_bench_command_failures(tmp_path, capsys, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(cli, "load_dataset", no_loading)
-        for methods in (",", "", "rbf,rbf", "rnn, rbf,rnn"):
+        for methods in (",", "", "rbf,rbf", "rnn, rbf,rnn", "rnn,bogus"):
             assert main(["bench", "--data-dir", str(data_dir),
                          "--out-dir", str(tmp_path / "o4"),
                          "--methods", methods]) == 2, methods

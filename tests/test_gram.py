@@ -6,6 +6,7 @@ import pytest
 from rntk import (
     Arch,
     CompositionError,
+    GramPair,
     HyperParams,
     InputOrder,
     ShapeError,
@@ -172,6 +173,23 @@ def test_gram_cross_same_set_matches_gram():
     cross = gram_cross(X, X, HP, Variant(Arch.BI_RNN))
     np.testing.assert_allclose(cross.ck, gp.ck, rtol=1e-12, atol=0)
     np.testing.assert_allclose(cross.ntk, gp.ntk, rtol=1e-12, atol=0)
+
+
+def test_one_result_type_through_the_family_engine():
+    import rntk
+
+    assert not hasattr(rntk, "CrossGram") and not hasattr(kernels, "CrossGram")
+    rng = np.random.default_rng(24)
+    train = rng.standard_normal((6, 4))
+    test = rng.standard_normal((3, 4))
+    for variant in ALL_VARIANTS:
+        cross = gram_cross(train, test, HP, variant)
+        one, = gram_cross_family(train, test, [(HP, variant)])
+        assert type(cross) is type(one) is GramPair
+        assert (cross.params, cross.variant) == (HP, variant)
+        assert np.array_equal(cross.ck, one.ck) and np.array_equal(cross.ntk, one.ntk)
+        gp = gram(train, HP, variant)
+        assert type(gp) is GramPair
 
 
 def test_gram_cross_single_row_matches_kernel_pair():

@@ -175,6 +175,20 @@ def test_labels_outside_label_set_rejected():
         train_multiclass(np.eye(6), labels, C=1.0, label_set=[0, 1])
 
 
+def test_labels_must_be_integers():
+    gram = np.eye(12)
+    for labels in ([0.5] * 6 + [1.5] * 6, ["a"] * 6 + ["b"] * 6, [0] * 11 + [np.nan]):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train_multiclass(gram, labels, C=1.0)
+    for label_set in ([0, 1, 2.5], ["0", "1"]):
+        with pytest.raises(ValueError, match="label_set must be integers"):
+            train_multiclass(gram, [0] * 6 + [1] * 6, C=1.0, label_set=label_set)
+    # integer-valued floats are integers: pairs and labels agree, predict works
+    model = train_multiclass(gram, [0.0] * 6 + [1.0] * 6, C=1.0, label_set=[0.0, 1.0])
+    assert model.labels == (0, 1) and model.models[0].class_pair == (0, 1)
+    assert predict(model, gram).tolist() == [0] * 6 + [1] * 6
+
+
 def test_dual_model_invariants_enforced():
     with pytest.raises(ValueError):
         DualModel(support_indices=np.array([0, 1]), alphas=np.array([1.0, 1.0]),
