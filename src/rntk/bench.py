@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .kernels import (
     Arch,
@@ -29,6 +28,8 @@ from .kernels import (
     InputOrder,
     ShapeError,
     Variant,
+    _as_int,
+    _as_real,
     gram_cross_family,
     gram_family,
 )
@@ -83,19 +84,19 @@ METHODS = ("rnn", "bi-rnn", "rnn-avg", "bi-rnn-avg", "rnn-p", "rbf", "poly")
 
 
 def _positive(v) -> bool:
-    """v is a finite real > 0."""
-    return isinstance(v, (int, float)) and math.isfinite(v) and v > 0
+    return v > 0
 
 
-# HyperGrid's search sets: (field, test of each value, what the test asks)
+# HyperGrid's search sets: (field, conversion of each value to a Python
+# value or None, test of the converted value, what the two ask)
 _GRID_SETS = (
-    ("sigma_u_set", _positive, "finite and > 0"),
-    ("sigma_b_set", lambda v: v == 0 or _positive(v), "finite and >= 0"),
-    ("L_set", lambda v: isinstance(v, int) and v >= 1, "positive integers"),
-    ("C_set", _positive, "finite and > 0"),
-    ("rbf_gamma_scaled", _positive, "finite and > 0"),
-    ("poly_degrees", lambda v: isinstance(v, int) and v >= 1, "positive integers"),
-    ("methods", METHODS.__contains__, "among " + ", ".join(METHODS)),
+    ("sigma_u_set", _as_real, _positive, "finite and > 0"),
+    ("sigma_b_set", _as_real, lambda v: v >= 0, "finite and >= 0"),
+    ("L_set", _as_int, _positive, "positive integers"),
+    ("C_set", _as_real, _positive, "finite and > 0"),
+    ("rbf_gamma_scaled", _as_real, _positive, "finite and > 0"),
+    ("poly_degrees", _as_int, _positive, "positive integers"),
+    ("methods", lambda v: v, METHODS.__contains__, "among " + ", ".join(METHODS)),
 )
 
 
@@ -105,7 +106,8 @@ class HyperGrid:
 
     sigma_v is never part of the grid: it is derived from the variant by
     sigma_v_for. rbf_gamma_scaled values are divided by T at evaluation
-    time, and poly kernels use (x.x'/T + 1)^degree.
+    time, and poly kernels use (x.x'/T + 1)^degree. Each search set is
+    stored as a tuple of Python numbers, numpy scalars converted.
     """
 
     sigma_u_set: tuple = (0.25, 0.5)
@@ -118,15 +120,19 @@ class HyperGrid:
     methods: tuple = METHODS
 
     def __post_init__(self):
-        for name, valid, what in _GRID_SETS:
+        for name, convert, valid, what in _GRID_SETS:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ValueError(f"HyperGrid.{name} must not be empty")
-            bad = [v for v in values if not valid(v)]
+            converted = tuple(convert(v) for v in values)
+            bad = [v for v, c in zip(values, converted) if c is None or not valid(c)]
             if bad:
                 raise ValueError(f"HyperGrid.{name} values must be {what}, got {bad}")
-        if not _positive(self.sigma_w):
+            object.__setattr__(self, name, converted)
+        sigma_w = _as_real(self.sigma_w)
+        if sigma_w is None or sigma_w <= 0:
             raise ValueError(f"HyperGrid.sigma_w must be finite and > 0, got {self.sigma_w!r}")
+        object.__setattr__(self, "sigma_w", sigma_w)
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"HyperGrid.methods must name each method once, got {self.methods}")
 
@@ -555,7 +561,10 @@ def compute_metrics(acc_table, method_names=None, dataset_names=None,
         pma = (table == row_max).mean(axis=0)
     else:
         pma = ratio.mean(axis=0)
-    ranks = np.vstack([rankdata(-row, method="average") for row in table])
+    # rank 1 is a row's best method; tied methods share their average rank
+    above = (table[:, None, :] > table[:, :, None]).sum(axis=2)
+    tied = (table[:, None, :] == table[:, :, None]).sum(axis=2)
+    ranks = above + 0.5 * (tied + 1)
     acc_std = table.std(axis=0, ddof=1) if D > 1 else np.zeros(M)
     return BenchReport(
         dataset_names=tuple(dataset_names), method_names=tuple(method_names),

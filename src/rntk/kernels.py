@@ -31,7 +31,9 @@ family) is a readout of at most two recursions, which `gram_family` and
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +61,40 @@ class ShapeError(ValueError):
 
 class CompositionError(ValueError):
     """Kernels cannot be computed together (a family's members differ in sigmas)."""
+
+
+def _as_int(value):
+    """value as a Python int if it is an int or numpy integer, else None.
+
+    bool is an int subclass, but a flag is never a count, so it is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return None
+    return int(value)
+
+
+def _as_real(value):
+    """value as a Python int or float if it is a finite real, else None.
+
+    numpy scalars count and come back as Python numbers, so labels and
+    hashes built from them do not change; bools are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    if isinstance(value, numbers.Integral):
+        # an int beyond the float range would overflow at its first float use
+        value = int(value)
+        return value if abs(value) <= sys.float_info.max else None
+    value = float(value)
+    return value if math.isfinite(value) else None
+
+
+def _integer(value, name: str) -> int:
+    """value as a Python int, or a ValueError naming the parameter."""
+    count = _as_int(value)
+    if count is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return count
 
 
 class Arch(Enum):
@@ -112,6 +148,16 @@ class Variant:
         return Variant(Arch(arch), InputOrder(order))
 
 
+def _store_reals(obj, names):
+    """Replace each named field of a frozen dataclass by its `_as_real` value."""
+    for name in names:
+        value = getattr(obj, name)
+        real = _as_real(value)
+        if real is None:
+            raise ValueError(f"{name} must be a finite real, got {value!r}")
+        object.__setattr__(obj, name, real)
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Initialization scales and depth of the recurrent network.
@@ -120,6 +166,7 @@ class HyperParams:
     sigma_v the output layer; depth_L is the number of stacked layers.
     Weights themselves are standard normal; the scales multiply them at use
     sites, which is what makes these the sole knobs of the kernel recursion.
+    numpy scalars are accepted and stored as Python numbers; bools are not.
     """
 
     sigma_w: float = math.sqrt(2.0)
@@ -129,16 +176,15 @@ class HyperParams:
     depth_L: int = 1
 
     def __post_init__(self):
-        for name in ("sigma_w", "sigma_u", "sigma_b", "sigma_v"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real, got {value!r}")
+        _store_reals(self, ("sigma_w", "sigma_u", "sigma_b", "sigma_v"))
         if self.sigma_w <= 0 or self.sigma_u <= 0 or self.sigma_v <= 0:
             raise ValueError("sigma_w, sigma_u, sigma_v must be positive")
         if self.sigma_b < 0:
             raise ValueError("sigma_b must be nonnegative")
-        if not isinstance(self.depth_L, int) or self.depth_L < 1:
+        depth = _as_int(self.depth_L)
+        if depth is None or depth < 1:
             raise ValueError(f"depth_L must be a positive integer, got {self.depth_L!r}")
+        object.__setattr__(self, "depth_L", depth)
 
 
 @dataclass(frozen=True)
@@ -150,10 +196,7 @@ class Cov2:
     k3: float
 
     def __post_init__(self):
-        for name in ("k1", "k2", "k3"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real, got {value!r}")
+        _store_reals(self, ("k1", "k2", "k3"))
         if self.k1 < 0 or self.k2 < 0:
             raise ValueError("variances k1, k2 must be nonnegative")
 
@@ -467,14 +510,15 @@ def _resolve_threads(threads) -> int:
     """Worker count: the threads argument, else RNTK_THREADS, else the cores."""
     name = "threads"
     if threads is None:
-        threads = os.environ.get("RNTK_THREADS")
-        if not threads:
+        text = os.environ.get("RNTK_THREADS")
+        if not text:
             return os.cpu_count() or 1
         name = "RNTK_THREADS"
-    try:
-        count = int(threads)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {threads!r}") from None
+        try:
+            threads = int(text)
+        except ValueError:
+            raise ValueError(f"RNTK_THREADS must be an integer, got {text!r}") from None
+    count = _integer(threads, name)
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
     return count

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Arch, HyperParams, ShapeError, flip, kernel_pair
+from .kernels import Arch, HyperParams, ShapeError, _integer, flip, kernel_pair
 
 
 @dataclass
@@ -84,6 +84,7 @@ def sample_rnn(params: HyperParams, width: int, T: int = 1, seed=0) -> RNNWeight
 
     Deterministic for a fixed seed; accepts an int or a SeedSequence.
     """
+    width, T = _integer(width, "width"), _integer(T, "T")
     if width < 1 or T < 1:
         raise ValueError(f"width and T must be positive, got {width}, {T}")
     rng = np.random.default_rng(seed)
@@ -114,15 +115,19 @@ class _LazyGaussian:
     conditioned on forward ones. `.T` answers left products the same way
     with the two sides swapped. Fresh normals come from `rng`, one
     `standard_normal(n)` per new direction, in query order.
+
+    `rows` bounds the right and the left products the caller will ask
+    for; each side's stores are allocated once at that many rows, capped
+    at n because orthonormal directions never exceed n.
     """
 
-    def __init__(self, n: int, rng):
+    def __init__(self, n: int, rng, rows):
         self.shape = (n, n)
         self._rng = rng
         # side 0: right products (Q, Y); side 1: left products (R, Z)
         self._known = [0, 0]
-        self._dirs = [np.empty((0, n)), np.empty((0, n))]
-        self._images = [np.empty((0, n)), np.empty((0, n))]
+        self._dirs = [np.empty((min(k, n), n)) for k in rows]
+        self._images = [np.empty((min(k, n), n)) for k in rows]
 
     @property
     def T(self):
@@ -161,12 +166,6 @@ class _LazyGaussian:
 
     def _append(self, side, q, image):
         k = self._known[side]
-        if k == self._dirs[side].shape[0]:
-            # double the row capacity, so appends cost O(n) amortised
-            for store in (self._dirs, self._images):
-                grown = np.empty((max(8, 2 * k), self.shape[0]))
-                grown[:k] = store[side]
-                store[side] = grown
         self._dirs[side][k] = q
         self._images[side][k] = image
         self._known[side] = k + 1
@@ -182,20 +181,21 @@ class _Transposed:
         return self._op._apply(1, V)
 
 
-def _lazy_rnn(params: HyperParams, width: int, T: int, seed) -> RNNWeights:
+def _lazy_rnn(params: HyperParams, width: int, T: int, seed, rows) -> RNNWeights:
     """An RNN draw whose n x n matrices are `_LazyGaussian` operators.
 
     U[0], each b[l] and V (O(n T) entries) are drawn up front, in that
     order, from one generator; the lazy operators then draw from the
-    same generator as they are queried.
+    same generator as they are queried. `rows` is each operator's
+    (right, left) product budget.
     """
     rng = np.random.default_rng(seed)
     L = params.depth_L
     U0 = rng.standard_normal((width, 1))
     b = [rng.standard_normal(width) for _ in range(L)]
     V = rng.standard_normal((T, width))
-    W = [_LazyGaussian(width, rng) for _ in range(L)]
-    U = [U0] + [_LazyGaussian(width, rng) for _ in range(L - 1)]
+    W = [_LazyGaussian(width, rng, rows) for _ in range(L)]
+    U = [U0] + [_LazyGaussian(width, rng, rows) for _ in range(L - 1)]
     return RNNWeights(W=W, U=U, b=b, V=V)
 
 
@@ -250,7 +250,8 @@ def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel):
     Delta = np.zeros((L, T, n, B, S))
     for t in range(T - 1, -1, -1):
         for layer in range(L - 1, -1, -1):
-            dh = np.zeros((n, B, S))
+            # accumulated in place: dh starts at zero, as Delta does
+            dh = Delta[layer, t]
             if layer == L - 1:
                 # output heads read the top hidden state
                 dh += sv * weights.V[t][:, None, None] * Csel[t][None, None, :]
@@ -260,7 +261,7 @@ def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel):
             if layer + 1 < L:
                 above = Delta[layer + 1, t].reshape(n, B * S)
                 dh += (su * (weights.U[layer + 1].T @ above)).reshape(n, B, S)
-            Delta[layer, t] = dh * masks[layer, t][:, :, None]
+            dh *= masks[layer, t][:, :, None]
     return Delta
 
 
@@ -313,14 +314,21 @@ _CK = "ck"
 _NTK = "ntk"
 
 
-def _run_net(params, width, seed, X, Csel):
-    """(H, heads, Delta) of a (T, B) batch X through one fresh lazy draw.
+def _run_net(params, width, seed, X, Csel, pairs):
+    """(heads, inner products) of a (T, B) batch X through one fresh lazy draw.
 
-    The draw is dropped on return, so a caller holds at most one at a time.
+    `pairs` lists the (sel_a, sel_b) selector pairs whose gradient inner
+    products `_inner_product` returns, in that order. The draw, H and
+    Delta are dropped on return, so a caller holds at most one net's
+    working set at a time.
     """
-    weights = _lazy_rnn(params, width, X.shape[0], seed)
+    T, B = X.shape
+    # each operator answers T B right products in the forward pass and
+    # at most T B S left ones in the backward pass
+    weights = _lazy_rnn(params, width, T, seed, (T * B, T * B * Csel.shape[1]))
     H, masks, heads = _forward_cols(weights, params, X)
-    return H, heads, _backward_cols(weights, params, H, masks, Csel)
+    Delta = _backward_cols(weights, params, H, masks, Csel)
+    return heads, [_inner_product(params, Delta, H, X, a, b, Csel) for a, b in pairs]
 
 
 def _suite_trial(x2, params, width, seed_pair):
@@ -333,13 +341,12 @@ def _suite_trial(x2, params, width, seed_pair):
     """
     T = x2.shape[0]
     Csel = _selectors(T)
-    xf2 = x2[::-1].copy()
-    H1, heads1, D1 = _run_net(params, width, seed_pair[0], x2, Csel)
-    H2, heads2, D2 = _run_net(params, width, seed_pair[1], xf2, Csel)
+    pairs = [(0, 0), (1, 1)]
+    heads1, (ntk_last, ntk_avg) = _run_net(params, width, seed_pair[0], x2, Csel, pairs)
+    heads2, (bwd_last, bwd_avg) = _run_net(params, width, seed_pair[1], x2[::-1].copy(),
+                                           Csel, pairs)
     last1, last2 = heads1[T - 1], heads2[T - 1]
     sum1, sum2 = heads1.sum(axis=0), heads2.sum(axis=0)
-    ntk_last = _inner_product(params, D1, H1, x2, 0, 0, Csel)
-    ntk_avg = _inner_product(params, D1, H1, x2, 1, 1, Csel)
     # gradients of the two directions live in disjoint blocks, so the
     # bidirectional inner product is the exact two-term sum
     return {
@@ -349,8 +356,8 @@ def _suite_trial(x2, params, width, seed_pair):
         (Arch.RNN_AVG, _NTK): ntk_avg,
         (Arch.BI_RNN, _CK): float((last1[0] + last2[0]) * (last1[1] + last2[1])),
         (Arch.BI_RNN_AVG, _CK): float((sum1[0] + sum2[0]) * (sum1[1] + sum2[1])),
-        (Arch.BI_RNN, _NTK): ntk_last + _inner_product(params, D2, H2, xf2, 0, 0, Csel),
-        (Arch.BI_RNN_AVG, _NTK): ntk_avg + _inner_product(params, D2, H2, xf2, 1, 1, Csel),
+        (Arch.BI_RNN, _NTK): ntk_last + bwd_last,
+        (Arch.BI_RNN_AVG, _NTK): ntk_avg + bwd_avg,
     }
 
 
@@ -374,6 +381,7 @@ def _input_pair(x, x_prime) -> np.ndarray:
 
 def _trial_seeds(seed, width: int, trials: int) -> list:
     """One SeedSequence per trial, once width and trials are checked."""
+    width, trials = _integer(width, "width"), _integer(trials, "trials")
     if trials < 2:
         raise ValueError("trials must be at least 2 (stderr is undefined otherwise)")
     if width < 1:
@@ -438,7 +446,6 @@ def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials:
     prods = np.empty(trials)
     inners = np.empty(trials)
     for i, child in enumerate(seeds):
-        H, heads, Delta = _run_net(params, width, child, x2, Csel)
+        heads, (inners[i],) = _run_net(params, width, child, x2, Csel, [(0, 1)])
         prods[i] = heads[head_a, 0] * heads[head_b, 1]
-        inners[i] = _inner_product(params, Delta, H, x2, 0, 1, Csel)
     return _estimate(prods, width), _estimate(inners, width)

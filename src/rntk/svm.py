@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import ShapeError
+from .kernels import ShapeError, _integer
 
 log = logging.getLogger("rntk.svm")
 
@@ -228,7 +228,7 @@ def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0, rows) -> DualModel:
     # tol <= 0 or nan never meets the stopping test; tol = inf stops at once
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be a finite number > 0, got {tol}")
-    if max_iter < 1:
+    if _integer(max_iter, "max_iter") < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if alpha0 is not None:
         alpha0 = np.asarray(alpha0, dtype=np.float64)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,28 @@ def test_metrics_errors():
             compute_metrics(np.array([[0.5, 0.6], [cell, 0.7]]))
 
 
+def test_metrics_ranks_average_ties():
+    table = np.array([[0.9, 0.8, 0.9, 0.7],
+                      [0.5, 0.5, 0.5, 0.5],
+                      [0.6, 0.7, 0.8, 0.6]])
+    rep = compute_metrics(table)
+    want = np.array([[1.5, 3.0, 1.5, 4.0],
+                     [2.5, 2.5, 2.5, 2.5],
+                     [3.5, 2.0, 1.0, 3.5]])
+    assert np.array_equal(rep.ranks, want)
+    assert np.array_equal(rep.friedman_rank, want.mean(axis=0))
+
+
+def test_library_imports_numpy_only():
+    # scipy is a test-only dependency: no library module may import it
+    code = "import sys, rntk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    package_root = str(Path(bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
 def test_rank_sum_invariant_random_tables():
     rng = np.random.default_rng(7)
     for _ in range(20):
@@ -231,17 +257,27 @@ def test_grid_rejects_empty_search_sets():
 def test_grid_rejects_bad_values():
     bad = {"sigma_u_set": [(0.0,), (-0.5,), (float("inf"),), ("0.5",)],
            "sigma_b_set": [(-0.1,), (float("nan"),)],
-           "L_set": [(0,), (1.5,), (2.0,)],
-           "C_set": [(0.0,), (-1.0,), (float("inf"),), (float("nan"),)],
+           "L_set": [(0,), (1.5,), (2.0,), (True,)],
+           "C_set": [(0.0,), (-1.0,), (float("inf"),), (float("nan"),), (True,)],
            "rbf_gamma_scaled": [(-1.0,), (0.0,), (float("nan"),)],
-           "poly_degrees": [(1.5,), (0,), (-2,)],
+           "poly_degrees": [(1.5,), (0,), (-2,), (False,)],
            "methods": [("rbf", "bogus"), ("rbf", "rbf")],
-           "sigma_w": [0.0, -1.0, float("nan"), float("inf")]}
+           "sigma_w": [0.0, -1.0, float("nan"), float("inf"), True]}
     for name, values in bad.items():
         for value in values:
             with pytest.raises(ValueError, match=f"HyperGrid.{name} "):
                 HyperGrid(**{name: value})
     HyperGrid(sigma_b_set=(0.0, 0.1), C_set=(1, 2.5), L_set=(3,))
+
+
+def test_grid_takes_numpy_values_as_python_numbers():
+    grid = HyperGrid(L_set=tuple(np.arange(1, 3)), C_set=tuple(np.array([0.5, 2.0])),
+                     sigma_u_set=(np.float32(0.5),), sigma_w=np.float64(1.5))
+    assert grid.L_set == (1, 2) and all(type(v) is int for v in grid.L_set)
+    assert grid.C_set == (0.5, 2.0) and all(type(v) is float for v in grid.C_set)
+    assert grid.sigma_u_set == (0.5,) and type(grid.sigma_u_set[0]) is float
+    assert type(grid.sigma_w) is float
+    assert grid == HyperGrid(L_set=(1, 2), C_set=(0.5, 2.0), sigma_u_set=(0.5,), sigma_w=1.5)
 
 
 def test_method_configs_counts():

@@ -246,6 +246,13 @@ def test_threads_below_one_rejected(monkeypatch):
     for threads in (0, -4):
         with pytest.raises(ValueError, match="threads must be at least 1"):
             gram(X, HP, threads=threads)
+    # a fraction was truncated and a bool read as 0 or 1 workers
+    for threads in (2.7, 1.0, True):
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            gram(X, HP, threads=threads)
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            gram_cross(X, X[:2], HP, threads=threads)
+    assert np.array_equal(gram(X, HP, threads=np.int64(2)).ck, gram(X, HP, threads=1).ck)
     for env in ("0", "-4"):
         monkeypatch.setenv("RNTK_THREADS", env)
         with pytest.raises(ValueError, match="RNTK_THREADS must be at least 1"):

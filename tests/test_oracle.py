@@ -184,6 +184,24 @@ def test_estimators_reject_nonpositive_width():
         empirical_cross_head(x, x, HP, width=10, trials=1, head_a=0, head_b=1)
 
 
+def test_counts_must_be_integers():
+    # numpy rejected a fraction with an error naming no parameter
+    x = np.array([0.6, -0.3])
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="width must be an integer"):
+            empirical_suite(x, x, HP, width=bad, trials=2)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            empirical_suite(x, x, HP, width=10, trials=bad)
+        with pytest.raises(ValueError, match="width must be an integer"):
+            empirical_cross_head(x, x, HP, width=bad, trials=2, head_a=0, head_b=1)
+        with pytest.raises(ValueError, match="width must be an integer"):
+            sample_rnn(HP, width=bad, T=2)
+        with pytest.raises(ValueError, match="T must be an integer"):
+            sample_rnn(HP, width=4, T=bad)
+    assert (empirical_suite(x, x, HP, width=np.int64(10), trials=np.int32(2), seed=3)
+            == empirical_suite(x, x, HP, width=10, trials=2, seed=3))
+
+
 def test_suite_is_the_only_estimate_route():
     import rntk
 
@@ -225,7 +243,8 @@ def _completed(weights, rng):
 
 def _lazy_run(params, width, seed, X, Csel):
     """A lazy draw queried as one estimator trial queries it."""
-    lazy = _lazy_rnn(params, width, X.shape[0], seed)
+    (T, B), S = X.shape, Csel.shape[1]
+    lazy = _lazy_rnn(params, width, T, seed, (T * B, T * B * S))
     H, masks, heads = _forward_cols(lazy, params, X)
     Delta = _backward_cols(lazy, params, H, masks, Csel)
     return lazy, (H, masks, heads, Delta)
@@ -259,7 +278,7 @@ def test_lazy_draw_completes_to_iid_standard_normals():
     v0 = np.array([[1.0], [-0.5], [0.25]])
     for i, ss in enumerate(np.random.SeedSequence(2024).spawn(draws)):
         rng = np.random.default_rng(ss)
-        op = _LazyGaussian(3, rng)
+        op = _LazyGaussian(3, rng, (3, 3))
         a = op @ v0
         b = op.T @ (np.maximum(a, 0.0) + 0.1)
         c = op @ np.column_stack([b[:, 0], v0[:, 0]])
@@ -364,6 +383,29 @@ def test_cross_head_holds_one_draw_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < draw_bytes / 4, (peak, draw_bytes)
+
+
+@pytest.mark.parametrize("width", [1000, 4000])
+def test_suite_trial_holds_one_draws_working_set(width):
+    # at most one draw's operator stores, sized once at the query budget,
+    # plus one net's H, masks and Delta, plus a few width-long temporaries
+    L, T, B, S = 2, 5, 2, 2
+    params = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=L)
+    x = np.array([0.8, -0.6, 0.3, 0.5, -0.2])
+    xp = np.array([0.1, 0.9, -0.7, 0.4, 0.6])
+    operators = 2 * L - 1
+    stores = operators * 2 * (min(T * B, width) + min(T * B * S, width)) * width * 8
+    net = (L * (T + 1) * width * B + L * T * width * B * S) * 8 + L * T * width * B
+    slack = 32 * width * 8
+    # first calls allocate numpy's lasting caches outside the measured call
+    empirical_suite(x, xp, params, width=8, trials=2, seed=0)
+    tracemalloc.start()
+    try:
+        empirical_suite(x, xp, params, width=width, trials=2, seed=141)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stores + net + slack, (peak, stores, net)
 
 
 def test_suite_shares_forward_draws():

@@ -147,6 +147,13 @@ def test_bad_solver_settings_rejected_before_iterating():
     for max_iter in (0, -5):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             smo_train(gram, y, C=1.0, max_iter=max_iter)
+    for max_iter in (2.5, 1000.0, True):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            smo_train(gram, y, C=1.0, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            train_multiclass(gram, (y > 0).astype(int), C=1.0, max_iter=max_iter)
+    a, b = smo_train(gram, y, C=1.0, max_iter=np.int64(1000)), smo_train(gram, y, C=1.0)
+    assert np.array_equal(a.support_indices, b.support_indices) and a.bias == b.bias
 
 
 def test_non_finite_gram_and_infinite_C_rejected_before_iterating():
