@@ -30,6 +30,8 @@ from .kernels import (
     Variant,
     _as_int,
     _as_real,
+    _family_key,
+    _integer,
     gram_cross_family,
     gram_family,
 )
@@ -80,7 +82,21 @@ class Dataset:
         return self.features.shape[1]
 
 
-METHODS = ("rnn", "bi-rnn", "rnn-avg", "bi-rnn-avg", "rnn-p", "rbf", "poly")
+# variant/ordering combinations each method feeds into the validation grid;
+# flips of bidirectional kernels are identities, so BI entries appear once
+METHOD_VARIANTS = {
+    "rnn": ((Arch.RNN, InputOrder.DEFAULT),),
+    "bi-rnn": ((Arch.BI_RNN, InputOrder.DEFAULT),),
+    "rnn-avg": ((Arch.RNN_AVG, InputOrder.DEFAULT),),
+    "bi-rnn-avg": ((Arch.BI_RNN_AVG, InputOrder.DEFAULT),),
+    "rnn-p": (
+        (Arch.RNN, InputOrder.DEFAULT),
+        (Arch.RNN, InputOrder.FLIPPED),
+        (Arch.RNN_AVG, InputOrder.DEFAULT),
+        (Arch.RNN_AVG, InputOrder.FLIPPED),
+    ),
+}
+METHODS = (*METHOD_VARIANTS, "rbf", "poly")
 
 
 def _positive(v) -> bool:
@@ -135,22 +151,6 @@ class HyperGrid:
         object.__setattr__(self, "sigma_w", sigma_w)
         if len(set(self.methods)) < len(self.methods):
             raise ValueError(f"HyperGrid.methods must name each method once, got {self.methods}")
-
-
-# variant/ordering combinations each method feeds into the validation grid;
-# flips of bidirectional kernels are identities, so BI entries appear once
-METHOD_VARIANTS = {
-    "rnn": ((Arch.RNN, InputOrder.DEFAULT),),
-    "bi-rnn": ((Arch.BI_RNN, InputOrder.DEFAULT),),
-    "rnn-avg": ((Arch.RNN_AVG, InputOrder.DEFAULT),),
-    "bi-rnn-avg": ((Arch.BI_RNN_AVG, InputOrder.DEFAULT),),
-    "rnn-p": (
-        (Arch.RNN, InputOrder.DEFAULT),
-        (Arch.RNN, InputOrder.FLIPPED),
-        (Arch.RNN_AVG, InputOrder.DEFAULT),
-        (Arch.RNN_AVG, InputOrder.FLIPPED),
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -284,16 +284,13 @@ def normalize(train_features, test_features):
 
 
 def sigma_v_for(variant: Variant, T: int) -> float:
-    """Output scale that puts every architecture's kernel on a common footing."""
+    """Output scale that puts every architecture's kernel on a common footing:
+    one over the root of the number of output heads the readout sums."""
+    T = _integer(T, "T")
     if T < 1:
         raise ValueError("T must be at least 1")
-    if variant.arch is Arch.RNN:
-        return 1.0
-    if variant.arch is Arch.BI_RNN:
-        return 1.0 / math.sqrt(2.0)
-    if variant.arch is Arch.RNN_AVG:
-        return 1.0 / math.sqrt(T)
-    return 1.0 / math.sqrt(2.0 * T)
+    heads = (T if variant.pooled else 1) * (2 if variant.bidirectional else 1)
+    return 1.0 / math.sqrt(heads)
 
 
 @dataclass(frozen=True)
@@ -406,7 +403,7 @@ def _predictions(configs, train_X, test_X, train_y, label_set, threads):
     for cfg in dict.fromkeys(configs):
         spec = key = cfg[0]
         if isinstance(spec, RNNKernelSpec):
-            key = (spec.params.sigma_w, spec.params.sigma_u, spec.params.sigma_b)
+            key = _family_key(spec.params)
         families.setdefault(key, []).append(cfg)
     last_models, preds, computed = {}, {}, 0
     for group in families.values():

@@ -304,6 +304,21 @@ def vphi_prime(cov: Cov2) -> float:
     return _vphi_scalar(cov.k1, cov.k2, cov.k3)[1]
 
 
+def _input_pair(x, x_prime) -> np.ndarray:
+    """The inputs as the columns of one (T, 2) array, once they are
+    nonempty, finite 1-D sequences of equal length."""
+    xa = np.asarray(x, dtype=np.float64)
+    xb = np.asarray(x_prime, dtype=np.float64)
+    if xa.ndim != 1 or xa.shape != xb.shape:
+        raise ShapeError("inputs must be 1-D sequences of equal length")
+    if xa.shape[0] == 0:
+        raise ShapeError("inputs must have at least one time step, got empty sequences")
+    x2 = np.stack([xa, xb], axis=1)
+    if not np.isfinite(x2).all():
+        raise ValueError("inputs must be finite")
+    return x2
+
+
 class PairOutputs(NamedTuple):
     """Kernels of one input pair: last-step and pooled readouts."""
 
@@ -331,16 +346,7 @@ def kernel_pair(x, x_prime, params: HyperParams) -> PairOutputs:
     step. Intended as the independently-auditable counterpart of `gram`;
     the batched path must agree with it entrywise.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    xb = np.asarray(x_prime, dtype=np.float64)
-    if xa.ndim != 1 or xb.ndim != 1:
-        raise ShapeError("inputs must be 1-D sequences")
-    if xa.shape != xb.shape:
-        raise ShapeError(f"length mismatch: {xa.shape[0]} vs {xb.shape[0]}")
-    if xa.shape[0] == 0:
-        raise ShapeError("inputs must have at least one time step")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(xb))):
-        raise ValueError("inputs must be finite")
+    xa, xb = _input_pair(x, x_prime).T
 
     su2 = params.sigma_u**2
     sw2 = params.sigma_w**2
@@ -627,11 +633,16 @@ def gram_cross(train, test, params: HyperParams, variant: Variant = Variant(), *
     return gram_cross_family(train, test, [(params, variant)], threads=threads)[0]
 
 
+def _family_key(params: HyperParams) -> tuple:
+    """What the members of one kernel family share: sigma_w, sigma_u and sigma_b."""
+    return params.sigma_w, params.sigma_u, params.sigma_b
+
+
 def _family(members) -> tuple[HyperParams, list[Readout]]:
     """Shared params and readouts of (params, variant) members of one family."""
     if not members:
         raise ValueError("a kernel family needs at least one member")
-    shared = {(p.sigma_w, p.sigma_u, p.sigma_b) for p, _ in members}
+    shared = {_family_key(p) for p, _ in members}
     if len(shared) > 1:
         raise CompositionError("a kernel family must share sigma_w, sigma_u and sigma_b")
     return members[0][0], [r for k, (params, variant) in enumerate(members)

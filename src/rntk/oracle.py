@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Arch, HyperParams, ShapeError, _integer, flip, kernel_pair
+from .kernels import _OVERFLOW, Arch, HyperParams, Variant, _input_pair, _integer, kernel_pair
 
 
 @dataclass
@@ -153,6 +153,9 @@ class _LazyGaussian:
         r -= again @ Q
         c += again
         norm = math.sqrt(float(r @ r))
+        # an infinite norm would pass the in-span test below and answer 0
+        if not math.isfinite(norm):
+            raise ValueError(_OVERFLOW)
         if norm <= _IN_SPAN * math.sqrt(float(v @ v)):
             return c @ Y
         q = r / norm
@@ -312,6 +315,14 @@ def _selectors(T: int) -> np.ndarray:
 
 _CK = "ck"
 _NTK = "ntk"
+# one-direction architectures first: the row order of `rntk verify`
+_SUITE_ORDER = sorted(Arch, key=lambda arch: Variant(arch).bidirectional)
+
+
+def _directions(variant: Variant, per_direction):
+    """The forward value, plus the reversed one for a bidirectional variant."""
+    forward, reverse = per_direction
+    return forward + reverse if variant.bidirectional else forward
 
 
 def _run_net(params, width, seed, X, Csel, pairs):
@@ -337,46 +348,34 @@ def _suite_trial(x2, params, width, seed_pair):
     x2 is (T, 2) holding the input pair in default order. The
     bidirectional values reuse the forward-direction network and add an
     independent draw run on the reversed inputs, which is exactly the
-    bidirectional architecture (the two directions share nothing).
+    bidirectional architecture (the two directions share nothing): its
+    output adds the two nets' heads, and its gradients live in disjoint
+    blocks, so its inner product is the exact two-term sum.
     """
     T = x2.shape[0]
     Csel = _selectors(T)
-    pairs = [(0, 0), (1, 1)]
-    heads1, (ntk_last, ntk_avg) = _run_net(params, width, seed_pair[0], x2, Csel, pairs)
-    heads2, (bwd_last, bwd_avg) = _run_net(params, width, seed_pair[1], x2[::-1].copy(),
-                                           Csel, pairs)
-    last1, last2 = heads1[T - 1], heads2[T - 1]
-    sum1, sum2 = heads1.sum(axis=0), heads2.sum(axis=0)
-    # gradients of the two directions live in disjoint blocks, so the
-    # bidirectional inner product is the exact two-term sum
-    return {
-        (Arch.RNN, _CK): float(last1[0] * last1[1]),
-        (Arch.RNN_AVG, _CK): float(sum1[0] * sum1[1]),
-        (Arch.RNN, _NTK): ntk_last,
-        (Arch.RNN_AVG, _NTK): ntk_avg,
-        (Arch.BI_RNN, _CK): float((last1[0] + last2[0]) * (last1[1] + last2[1])),
-        (Arch.BI_RNN_AVG, _CK): float((sum1[0] + sum2[0]) * (sum1[1] + sum2[1])),
-        (Arch.BI_RNN, _NTK): ntk_last + bwd_last,
-        (Arch.BI_RNN_AVG, _NTK): ntk_avg + bwd_avg,
-    }
+    nets = []
+    for seed, x in zip(seed_pair, (x2, x2[::-1].copy())):
+        heads, inners = _run_net(params, width, seed, x, Csel, [(0, 0), (1, 1)])
+        # indexed like the selectors: the last head, then the summed heads
+        nets.append(((heads[T - 1], heads.sum(axis=0)), inners))
+    trial = {}
+    for arch in _SUITE_ORDER:
+        variant = Variant(arch)
+        k = int(variant.pooled)
+        a, b = _directions(variant, [outputs[k] for outputs, _ in nets])
+        trial[(arch, _CK)] = float(a * b)
+        trial[(arch, _NTK)] = _directions(variant, [inners[k] for _, inners in nets])
+    return trial
 
 
 def _estimate(samples: np.ndarray, width: int) -> KernelEstimate:
     n = samples.shape[0]
-    return KernelEstimate(mean=float(samples.mean()),
-                          stderr=float(samples.std(ddof=1) / math.sqrt(n)),
-                          trials=n, width=width)
-
-
-def _input_pair(x, x_prime) -> np.ndarray:
-    """The two input sequences as the columns of one (T, 2) array."""
-    xa = np.asarray(x, dtype=np.float64)
-    xb = np.asarray(x_prime, dtype=np.float64)
-    if xa.ndim != 1 or xa.shape != xb.shape:
-        raise ShapeError("inputs must be 1-D sequences of equal length")
-    if xa.shape[0] == 0:
-        raise ShapeError("inputs must have at least one time step, got empty sequences")
-    return np.stack([xa, xb], axis=1)
+    mean, stderr = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
+    # at T = L = 1 no lazy product sees the inputs, so huge ones overflow only here
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError(_OVERFLOW)
+    return KernelEstimate(mean=mean, stderr=stderr, trials=n, width=width)
 
 
 def _trial_seeds(seed, width: int, trials: int) -> list:
@@ -407,22 +406,20 @@ def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int, se
 def analytic_suite(x, x_prime, params: HyperParams):
     """The infinite-width values that `empirical_suite` estimates.
 
-    Returns {(Arch, "ck"|"ntk"): float} with the same keys: the
-    bidirectional kernels add the reversed-direction pass to the forward
-    one.
+    Returns {(Arch, "ck"|"ntk"): float} with the same keys, one-direction
+    architectures first: the bidirectional kernels add the
+    reversed-direction pass to the forward one.
     """
-    fwd = kernel_pair(x, x_prime, params)
-    bwd = kernel_pair(flip(x), flip(x_prime), params)
-    return {
-        (Arch.RNN, _CK): fwd.ck_last,
-        (Arch.RNN, _NTK): fwd.ntk_last,
-        (Arch.RNN_AVG, _CK): fwd.ck_avg,
-        (Arch.RNN_AVG, _NTK): fwd.ntk_avg,
-        (Arch.BI_RNN, _CK): fwd.ck_last + bwd.ck_last,
-        (Arch.BI_RNN, _NTK): fwd.ntk_last + bwd.ntk_last,
-        (Arch.BI_RNN_AVG, _CK): fwd.ck_avg + bwd.ck_avg,
-        (Arch.BI_RNN_AVG, _NTK): fwd.ntk_avg + bwd.ntk_avg,
-    }
+    x2 = _input_pair(x, x_prime)
+    passes = [kernel_pair(*x2.T, params), kernel_pair(*x2[::-1].T, params)]
+    suite = {}
+    for arch in _SUITE_ORDER:
+        variant = Variant(arch)
+        head = "avg" if variant.pooled else "last"
+        for kind in (_CK, _NTK):
+            values = [getattr(p, f"{kind}_{head}") for p in passes]
+            suite[(arch, kind)] = _directions(variant, values)
+    return suite
 
 
 def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials: int,
@@ -437,6 +434,7 @@ def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials:
     """
     x2 = _input_pair(x, x_prime)
     T = x2.shape[0]
+    head_a, head_b = _integer(head_a, "head_a"), _integer(head_b, "head_b")
     if not (0 <= head_a < T and 0 <= head_b < T):
         raise ValueError(f"head indices must be in [0, {T})")
     seeds = _trial_seeds(seed, width, trials)

@@ -336,23 +336,34 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
                            n_train=K.shape[0])
 
 
-def decision_function(model: DualModel, cross) -> np.ndarray:
-    """Decision values for test rows of a rectangular kernel block."""
+def _check_cross(cross) -> np.ndarray:
     X = np.asarray(cross, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("cross kernel block must be 2-D (test x train)")
+    # a NaN decision value would vote for the second label of its pair
+    if not np.isfinite(X).all():
+        raise ValueError("cross kernel block must be finite")
+    return X
+
+
+def _decision(model: DualModel, X) -> np.ndarray:
     return X[:, model.support_indices] @ model.alphas + model.bias
+
+
+def decision_function(model: DualModel, cross) -> np.ndarray:
+    """Decision values for test rows of a rectangular, finite kernel block."""
+    return _decision(model, _check_cross(cross))
 
 
 def predict(model: MultiClassModel, cross) -> np.ndarray:
     """Majority vote over pair models; ties go to the smallest label.
 
-    cross holds kernel values between test rows and all training points,
-    so pair decisions are sign(sum alphas_i K(test, i) + bias), with zero
-    counted for the smaller label of the pair.
+    cross holds finite kernel values between test rows and all training
+    points, so pair decisions are sign(sum alphas_i K(test, i) + bias), with
+    zero counted for the smaller label of the pair.
     """
-    X = np.asarray(cross, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_train:
+    X = _check_cross(cross)
+    if X.shape[1] != model.n_train:
         raise ShapeError(
             f"cross block must have {model.n_train} columns, got shape {X.shape}")
     labels = model.labels
@@ -363,7 +374,7 @@ def predict(model: MultiClassModel, cross) -> np.ndarray:
             votes[:, col[pair_model.label]] += 1
             continue
         a, b = pair_model.class_pair
-        dec = decision_function(pair_model, X)
+        dec = _decision(pair_model, X)
         wins_a = dec >= 0.0
         votes[wins_a, col[a]] += 1
         votes[~wins_a, col[b]] += 1

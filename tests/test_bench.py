@@ -129,6 +129,16 @@ def test_sigma_v_values():
     assert abs(sigma_v_for(Variant(Arch.BI_RNN), 3) - 1.0 / math.sqrt(2)) < 1e-15
     with pytest.raises(ValueError):
         sigma_v_for(Variant(Arch.RNN), 0)
+    # the per-architecture formulas, bit for bit
+    for T in (1, 3, 7, 16):
+        assert sigma_v_for(Variant(Arch.RNN), T) == 1.0
+        assert sigma_v_for(Variant(Arch.BI_RNN), T) == 1.0 / math.sqrt(2.0)
+        assert sigma_v_for(Variant(Arch.RNN_AVG), T) == 1.0 / math.sqrt(T)
+        assert sigma_v_for(Variant(Arch.BI_RNN_AVG), np.int64(T)) == 1.0 / math.sqrt(2.0 * T)
+    # a fraction gave 0.632 and True gave 1.0
+    for bad in (2.5, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="T must be an integer"):
+            sigma_v_for(Variant(Arch.RNN_AVG), bad)
 
 
 def test_default_splits_deterministic():

@@ -5,7 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rntk import Arch, HyperParams, ShapeError, Variant, kernel_pair
+from rntk import Arch, HyperParams, ShapeError, Variant, kernel_pair, oracle
+from rntk.bench import sigma_v_for
+from rntk.gram_io import variant_code, variant_from_code
 from rntk.oracle import (
     RNNWeights,
     _backward_cols,
@@ -14,12 +16,14 @@ from rntk.oracle import (
     _LazyGaussian,
     _selectors,
     _suite_trial,
+    analytic_suite,
     empirical_cross_head,
     empirical_suite,
     sample_rnn,
 )
 from dense_bptt import central_difference, flat_gradient, gradient_blocks, n_weights, readout
 from lazy_completion import complete
+from suite_reference import analytic_table, suite_trial_table
 
 HP = HyperParams(sigma_u=0.5, sigma_b=0.1, sigma_v=0.9, depth_L=2)
 HP1 = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=1)
@@ -198,8 +202,15 @@ def test_counts_must_be_integers():
             sample_rnn(HP, width=bad, T=2)
         with pytest.raises(ValueError, match="T must be an integer"):
             sample_rnn(HP, width=4, T=bad)
+        # numpy died with a bare IndexError or "setting an array element"
+        with pytest.raises(ValueError, match="head_a must be an integer"):
+            empirical_cross_head(x, x, HP, width=10, trials=2, head_a=bad, head_b=0)
+        with pytest.raises(ValueError, match="head_b must be an integer"):
+            empirical_cross_head(x, x, HP, width=10, trials=2, head_a=0, head_b=bad)
     assert (empirical_suite(x, x, HP, width=np.int64(10), trials=np.int32(2), seed=3)
             == empirical_suite(x, x, HP, width=10, trials=2, seed=3))
+    assert (empirical_cross_head(x, x, HP, width=10, trials=2, head_a=np.int64(1), head_b=0)
+            == empirical_cross_head(x, x, HP, width=10, trials=2, head_a=1, head_b=0))
 
 
 def test_suite_is_the_only_estimate_route():
@@ -231,6 +242,38 @@ def test_empirical_rejects_empty_sequences():
     for x, xp in (([0.1, 0.2, 0.3], [0.1, 0.2]), ([[0.1, 0.2]], [[0.1, 0.2]])):
         with pytest.raises(ShapeError, match="1-D sequences of equal length"):
             empirical_suite(x, xp, HP, width=10, trials=2)
+
+
+def test_oracle_names_non_finite_inputs():
+    # the estimators died as "stderr must be nonnegative"
+    ones = [1.0, 1.0]
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            empirical_suite(bad, ones, HP, width=10, trials=2)
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            empirical_cross_head(ones, bad, HP, width=10, trials=2, head_a=0, head_b=1)
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            analytic_suite(bad, ones, HP)
+
+
+def test_oracle_refuses_overflowing_inputs():
+    # an infinite query norm was answered as W v = 0, so these gave finite
+    # estimates where analytic_suite overflows; at T = 1 only the estimate
+    # itself overflows
+    params = HyperParams()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for big in (1e160, 1e300):
+            for x in ([big, 1.0], [big]):
+                ones = [1.0] * len(x)
+                with pytest.raises(ValueError, match="overflowed"):
+                    analytic_suite(x, ones, params)
+                with pytest.raises(ValueError, match="overflowed"):
+                    empirical_suite(x, ones, params, width=50, trials=3)
+                with pytest.raises(ValueError, match="overflowed"):
+                    empirical_cross_head(x, ones, params, width=50, trials=3,
+                                         head_a=0, head_b=len(x) - 1)
+    suite = empirical_suite([1e100, 1.0], [1.0, 1.0], params, width=50, trials=3)
+    assert all(math.isfinite(e.mean) and math.isfinite(e.stderr) for e in suite.values())
 
 
 def _completed(weights, rng):
@@ -406,6 +449,42 @@ def test_suite_trial_holds_one_draws_working_set(width):
     finally:
         tracemalloc.stop()
     assert peak <= stores + net + slack, (peak, stores, net)
+
+
+@pytest.mark.parametrize("T", [1, 2, 5])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_suites_match_their_written_out_tables(L, T, monkeypatch):
+    params = HyperParams(sigma_u=0.7, sigma_b=0.2, sigma_v=0.9, depth_L=L)
+    rng = np.random.default_rng((L, T, 151))
+    x, xp = rng.standard_normal(T), rng.standard_normal(T)
+    nets, run_net = [], oracle._run_net
+
+    def recorded(*args):
+        nets.append(run_net(*args))
+        return nets[-1]
+
+    monkeypatch.setattr(oracle, "_run_net", recorded)
+    trial = _suite_trial(np.stack([x, xp], axis=1), params, 7,
+                         np.random.SeedSequence(151).spawn(2))
+    assert len(nets) == 2
+    assert trial == suite_trial_table(*nets)
+    assert list(analytic_suite(x, xp, params).items()) == list(
+        analytic_table(x, xp, params).items())
+
+
+def test_every_architecture_is_wired_through():
+    # an Arch member added without its gram_io code, sigma_v or suite
+    # entries fails here
+    x, xp = np.array([0.3, -0.5]), np.array([0.8, 0.1])
+    analytic = analytic_suite(x, xp, HP)
+    empirical = empirical_suite(x, xp, HP, width=8, trials=2)
+    assert len(analytic) == len(empirical) == 2 * len(Arch)
+    for arch in Arch:
+        variant = Variant(arch)
+        assert variant_from_code(variant_code(variant)) == variant
+        assert 0.0 < sigma_v_for(variant, 3) <= 1.0
+        for kind in ("ck", "ntk"):
+            assert (arch, kind) in analytic and (arch, kind) in empirical
 
 
 def test_suite_shares_forward_draws():

@@ -296,6 +296,19 @@ def test_predict_column_mismatch():
         predict(model, np.zeros((2, 3)))
 
 
+def test_predict_refuses_non_finite_cross_blocks():
+    # a NaN cross block was voted on as if every decision were negative
+    model = train_multiclass(np.eye(4), [0, 0, 1, 1], C=1.0)
+    for bad in (np.nan, np.inf):
+        cross = np.zeros((2, 4))
+        cross[1, 3] = bad
+        with pytest.raises(ValueError, match="cross kernel block must be finite"):
+            predict(model, cross)
+        with pytest.raises(ValueError, match="cross kernel block must be finite"):
+            decision_function(model.models[0], cross)
+    assert predict(model, np.eye(4)).tolist() == [0, 0, 1, 1]
+
+
 def test_convergence_error_without_warning():
     gram, y = random_problem(51)
     with warnings.catch_warnings():
