@@ -130,7 +130,7 @@ class HyperGrid:
     sigma_b_set: tuple = (0.001, 0.1)
     L_set: tuple = (1, 2)
     C_set: tuple = (0.01, 1.0, 100.0, 10000.0, 1000000.0)
-    sigma_w: float = math.sqrt(2.0)
+    sigma_w: float = HyperParams.sigma_w
     rbf_gamma_scaled: tuple = (0.01, 0.1, 1.0, 10.0)
     poly_degrees: tuple = (2, 3)
     methods: tuple = METHODS
@@ -317,7 +317,6 @@ class RBFSpec:
 @dataclass(frozen=True)
 class PolySpec:
     degree: int
-    T: int
 
     def label(self, selector, C) -> str:
         return f"poly|degree={self.degree}|C={C:g}"
@@ -348,8 +347,9 @@ def _baseline_matrices(spec, train_X, test_X):
         K = np.exp(-spec.gamma * _sq_dists(train_X, train_X))
         C = np.exp(-spec.gamma * _sq_dists(test_X, train_X))
         return {None: (K, C)}
-    base_tr = train_X @ train_X.T / spec.T + 1.0
-    base_te = test_X @ train_X.T / spec.T + 1.0
+    T = train_X.shape[1]
+    base_tr = train_X @ train_X.T / T + 1.0
+    base_te = test_X @ train_X.T / T + 1.0
     return {None: (base_tr**spec.degree, base_te**spec.degree)}
 
 
@@ -369,7 +369,7 @@ def _method_configs(method: str, grid: HyperGrid, T: int):
     elif method == "rbf":
         specs = [RBFSpec(gamma=g / T) for g in grid.rbf_gamma_scaled]
     elif method == "poly":
-        specs = [PolySpec(degree=d, T=T) for d in grid.poly_degrees]
+        specs = [PolySpec(degree=d) for d in grid.poly_degrees]
     else:
         raise ValueError(f"unknown method {method!r}")
     return [(spec, sel, C) for spec in specs for sel, C in product(selectors, grid.C_set)]
@@ -499,6 +499,10 @@ def run_protocol(dataset: Dataset, grid: HyperGrid = HyperGrid(),
                           gram_computations=gram_computations)
 
 
+# BenchReport's per-method aggregate columns, in report and CSV order
+_AGGREGATES = ("acc_mean", "acc_std", "p95", "pma", "friedman_rank")
+
+
 @dataclass(frozen=True)
 class BenchReport:
     """Accuracy table plus the four aggregate metrics, column per method."""
@@ -577,13 +581,7 @@ def report_to_json(report: BenchReport, results=None) -> str:
         "methods": list(report.method_names),
         "accuracy_table": report.accuracies.tolist(),
         "aggregates": {
-            name: {
-                "acc_mean": float(report.acc_mean[j]),
-                "acc_std": float(report.acc_std[j]),
-                "p95": float(report.p95[j]),
-                "pma": float(report.pma[j]),
-                "friedman_rank": float(report.friedman_rank[j]),
-            }
+            name: {agg: float(getattr(report, agg)[j]) for agg in _AGGREGATES}
             for j, name in enumerate(report.method_names)
         },
         "pma_definition": report.pma_definition,
@@ -603,11 +601,10 @@ def report_to_json(report: BenchReport, results=None) -> str:
 
 def aggregates_to_csv(report: BenchReport) -> str:
     """Aggregate metrics as CSV text, one row per method."""
-    lines = ["method,acc_mean,acc_std,p95,pma,friedman_rank"]
+    lines = [",".join(("method", *_AGGREGATES))]
     for j, name in enumerate(report.method_names):
-        lines.append(
-            f"{name},{report.acc_mean[j]:.6f},{report.acc_std[j]:.6f},"
-            f"{report.p95[j]:.6f},{report.pma[j]:.6f},{report.friedman_rank[j]:.6f}")
+        lines.append(",".join(
+            [name] + [f"{getattr(report, agg)[j]:.6f}" for agg in _AGGREGATES]))
     return "\n".join(lines) + "\n"
 
 

@@ -73,10 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--variant", choices=_ARCH_NAMES, default="rnn")
     g.add_argument("--order", choices=_ORDER_NAMES, default="default")
-    g.add_argument("--L", type=_positive_int, default=1, help="number of layers")
-    g.add_argument("--sigma-u", type=float, default=0.5)
-    g.add_argument("--sigma-b", type=float, default=0.1)
-    g.add_argument("--sigma-w", type=float, default=math.sqrt(2.0))
+    g.add_argument("--L", type=_positive_int, default=HyperParams.depth_L,
+                   help="number of layers")
+    g.add_argument("--sigma-u", type=float, default=HyperParams.sigma_u)
+    g.add_argument("--sigma-b", type=float, default=HyperParams.sigma_b)
+    g.add_argument("--sigma-w", type=float, default=HyperParams.sigma_w)
     g.add_argument("--sigma-v", type=float, default=None,
                    help="output scale; default derives from the variant")
     g.add_argument("--format", choices=["binary", "csv"], default="binary")
@@ -88,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--L-list", type=_int_list, default=[1, 2])
     v.add_argument("--T-list", type=_int_list, default=[2, 5])
-    v.add_argument("--sigma-u", type=float, default=0.5)
-    v.add_argument("--sigma-b", type=float, default=0.1)
+    v.add_argument("--sigma-u", type=float, default=HyperParams.sigma_u)
+    v.add_argument("--sigma-b", type=float, default=HyperParams.sigma_b)
     v.add_argument("--out", default=None, help="write the JSON report here "
                                                "instead of stdout")
 
@@ -145,8 +146,7 @@ def cmd_verify(args) -> int:
     rows = []
     for T in args.T_list:
         for L in args.L_list:
-            params = HyperParams(sigma_u=args.sigma_u, sigma_b=args.sigma_b,
-                                 sigma_v=1.0, depth_L=L)
+            params = HyperParams(sigma_u=args.sigma_u, sigma_b=args.sigma_b, depth_L=L)
             rng = np.random.default_rng((args.seed, T, L, 1))
             x = rng.standard_normal(T)
             x /= np.linalg.norm(x)
@@ -242,18 +242,12 @@ def _time_gram(N, T, L, reps, seed, threads) -> float:
 
 def cmd_timing(args) -> int:
     lines = ["sweep,N,T,L,mean_seconds"]
-    for N in args.N_list:
-        secs = _time_gram(N, args.base_T, args.base_L, args.reps, args.seed,
-                          args.threads)
-        lines.append(f"N,{N},{args.base_T},{args.base_L},{secs:.6f}")
-    for T in args.T_list:
-        secs = _time_gram(args.base_N, T, args.base_L, args.reps, args.seed,
-                          args.threads)
-        lines.append(f"T,{args.base_N},{T},{args.base_L},{secs:.6f}")
-    for L in args.L_list:
-        secs = _time_gram(args.base_N, args.base_T, L, args.reps, args.seed,
-                          args.threads)
-        lines.append(f"L,{args.base_N},{args.base_T},{L},{secs:.6f}")
+    base = {"N": args.base_N, "T": args.base_T, "L": args.base_L}
+    for sweep, values in (("N", args.N_list), ("T", args.T_list), ("L", args.L_list)):
+        for value in values:
+            N, T, L = {**base, sweep: value}.values()
+            secs = _time_gram(N, T, L, args.reps, args.seed, args.threads)
+            lines.append(f"{sweep},{N},{T},{L},{secs:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -513,20 +513,12 @@ def _block(Xa, Xb, ia, ib, passes, params: HyperParams, outputs, dst):
 
 
 def _resolve_threads(threads) -> int:
-    """Worker count: the threads argument, else RNTK_THREADS, else the cores."""
-    name = "threads"
+    """Worker count: the threads argument, else the cores."""
     if threads is None:
-        text = os.environ.get("RNTK_THREADS")
-        if not text:
-            return os.cpu_count() or 1
-        name = "RNTK_THREADS"
-        try:
-            threads = int(text)
-        except ValueError:
-            raise ValueError(f"RNTK_THREADS must be an integer, got {text!r}") from None
-    count = _integer(threads, name)
+        return os.cpu_count() or 1
+    count = _integer(threads, "threads")
     if count < 1:
-        raise ValueError(f"{name} must be at least 1, got {count}")
+        raise ValueError(f"threads must be at least 1, got {count}")
     return count
 
 

@@ -152,8 +152,10 @@ class _LazyGaussian:
         again = Q @ r  # one re-orthogonalisation pass
         r -= again @ Q
         c += again
-        norm = math.sqrt(float(r @ r))
-        # an infinite norm would pass the in-span test below and answer 0
+        with np.errstate(over="ignore"):
+            norm = math.sqrt(float(r @ r))
+        # an infinite norm would pass the in-span test below and answer 0;
+        # it is refused here by name, so numpy's overflow warning is muted
         if not math.isfinite(norm):
             raise ValueError(_OVERFLOW)
         if norm <= _IN_SPAN * math.sqrt(float(v @ v)):
@@ -371,8 +373,10 @@ def _suite_trial(x2, params, width, seed_pair):
 
 def _estimate(samples: np.ndarray, width: int) -> KernelEstimate:
     n = samples.shape[0]
-    mean, stderr = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
-    # at T = L = 1 no lazy product sees the inputs, so huge ones overflow only here
+    # at T = L = 1 no lazy product sees the inputs, so huge ones overflow only
+    # here; the overflow is refused below by name, not warned about
+    with np.errstate(over="ignore"):
+        mean, stderr = float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n))
     if not (math.isfinite(mean) and math.isfinite(stderr)):
         raise ValueError(_OVERFLOW)
     return KernelEstimate(mean=mean, stderr=stderr, trials=n, width=width)

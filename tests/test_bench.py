@@ -442,6 +442,9 @@ def test_protocol_rejects_tiny_datasets():
     ds = make_dataset(13, n=6)
     with pytest.raises(ValueError, match="at least 8"):
         run_protocol(ds, SMALL_GRID)
+    # and splits built for a dataset of another size
+    with pytest.raises(ValueError, match="different dataset size"):
+        run_protocol(make_dataset(13), SMALL_GRID, splits=default_splits("synth", 12))
 
 
 def test_protocol_handles_missing_classes(caplog):

@@ -81,18 +81,29 @@ def test_gram_command_missing_file(tmp_path, capsys):
 
 
 def test_usage_errors_exit_two(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["gram", "--data", "d.csv", "--out", "g", "--variant", "mlp"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["gram", "--data", "d.csv", "--out", "g", "--tile-pairs", "4"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--trials", "1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    gram_args = ["gram", "--data", "d.csv", "--out", "g"]
+    for argv in (gram_args + ["--variant", "mlp"], gram_args + ["--tile-pairs", "4"],
+                 gram_args + ["--L", "0"], ["verify", "--trials", "1"],
+                 ["verify", "--L-list", "0"], ["verify", "--L-list", "a"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_defaults_are_the_hyperparams_defaults(monkeypatch):
+    defaults = HyperParams()
+    parser = cli.build_parser()
+    g = parser.parse_args(["gram", "--data", "d.csv", "--out", "g"])
+    assert (g.sigma_w, g.sigma_u, g.sigma_b, g.L) == (
+        defaults.sigma_w, defaults.sigma_u, defaults.sigma_b, defaults.depth_L)
+    v = parser.parse_args(["verify"])
+    assert (v.sigma_u, v.sigma_b) == (defaults.sigma_u, defaults.sigma_b)
+    # verify's networks take every other field, sigma_v included, from HyperParams
+    seen = []
+    monkeypatch.setattr(cli, "empirical_suite", lambda x, xp, params, **kw: seen.append(params))
+    monkeypatch.setattr(cli, "analytic_suite", lambda x, xp, params: {})
+    assert main(["verify", "--L-list", "2", "--T-list", "3"]) == 0
+    assert seen == [HyperParams(depth_L=2)]
 
 
 def test_verify_command_small_run(tmp_path):

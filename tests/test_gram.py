@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -253,15 +254,12 @@ def test_threads_below_one_rejected(monkeypatch):
         with pytest.raises(ValueError, match="threads must be an integer"):
             gram_cross(X, X[:2], HP, threads=threads)
     assert np.array_equal(gram(X, HP, threads=np.int64(2)).ck, gram(X, HP, threads=1).ck)
-    for env in ("0", "-4"):
-        monkeypatch.setenv("RNTK_THREADS", env)
-        with pytest.raises(ValueError, match="RNTK_THREADS must be at least 1"):
-            gram(X, HP)
-    monkeypatch.setenv("RNTK_THREADS", "abc")
-    with pytest.raises(ValueError, match="RNTK_THREADS must be an integer"):
-        gram_cross(X, X[:2], HP)
-    # an explicit argument wins over the environment
     assert np.array_equal(gram(X, HP, threads=1).ck, gram(X, HP, threads=2).ck)
+    # threads= is the one setting: the former RNTK_THREADS variable is ignored
+    monkeypatch.setenv("RNTK_THREADS", "abc")
+    assert kernels._resolve_threads(None) == (os.cpu_count() or 1)
+    assert np.array_equal(gram(X, HP).ck, gram(X, HP, threads=1).ck)
+    assert np.array_equal(gram_cross(X, X[:2], HP).ntk, gram_cross(X, X[:2], HP, threads=1).ntk)
 
 
 def test_block_engine_matches_pair_engine_bit_for_bit(monkeypatch):

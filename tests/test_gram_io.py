@@ -57,6 +57,9 @@ def test_variant_codes_round_trip():
     assert len(set(codes)) == len(codes)
     for v, code in zip(variants, codes):
         assert variant_from_code(code) == v
+    # a bidirectional kernel reads both orders, so a flip of one is the same kernel
+    assert Variant(Arch.BI_RNN, InputOrder.FLIPPED) == Variant(Arch.BI_RNN)
+    assert variant_from_code(0x11) == Variant(Arch.BI_RNN)
 
 
 def test_corruption_detected(tmp_path):
@@ -92,8 +95,8 @@ def test_header_rejects_unknown_bits(tmp_path):
     write_gram(path, np.ones((2, 2)), KIND_CK, Variant(Arch.RNN_AVG, InputOrder.FLIPPED))
     raw = path.read_bytes()
     assert raw[21] == 0x12 and raw[22:24] == b"\x00\x00"
-    # byte 21 is the variant, bytes 22-23 the reserved u16
-    for offset, value in ((21, 0x20), (21, 0x32), (21, 0x04), (22, 7), (23, 1)):
+    # byte 20 is the kind, byte 21 the variant, bytes 22-23 the reserved u16
+    for offset, value in ((20, 2), (21, 0x20), (21, 0x32), (21, 0x04), (22, 7), (23, 1)):
         tampered = bytearray(raw)
         tampered[offset] = value
         path.write_bytes(bytes(tampered))
@@ -108,6 +111,8 @@ def test_invalid_inputs(tmp_path):
         write_gram(tmp_path / "x.gram", np.zeros(3), KIND_CK, Variant())
     with pytest.raises(GramFormatError):
         write_gram(tmp_path / "x.gram", np.zeros((2, 2)), 7, Variant())
+    with pytest.raises(GramFormatError):
+        write_gram_csv(tmp_path / "x.csv", np.zeros(3))
 
 
 def test_csv_writer(tmp_path):

@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,10 @@ def test_counts_must_be_integers():
             == empirical_suite(x, x, HP, width=10, trials=2, seed=3))
     assert (empirical_cross_head(x, x, HP, width=10, trials=2, head_a=np.int64(1), head_b=0)
             == empirical_cross_head(x, x, HP, width=10, trials=2, head_a=1, head_b=0))
+    # an integer head outside the sequence
+    for head_a, head_b in ((2, 0), (0, -1)):
+        with pytest.raises(ValueError, match=r"head indices must be in \[0, 2\)"):
+            empirical_cross_head(x, x, HP, width=10, trials=2, head_a=head_a, head_b=head_b)
 
 
 def test_suite_is_the_only_estimate_route():
@@ -274,6 +279,16 @@ def test_oracle_refuses_overflowing_inputs():
                                          head_a=0, head_b=len(x) - 1)
     suite = empirical_suite([1e100, 1.0], [1.0, 1.0], params, width=50, trials=3)
     assert all(math.isfinite(e.mean) and math.isfinite(e.stderr) for e in suite.values())
+
+
+def test_oracle_overflow_refusal_warns_nothing():
+    # numpy warned of an overflow in the lazy draw's norm (T = 2) and in
+    # the estimate's std (T = 1) before the named error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([1e160, 1.0], [1e160]):
+            with pytest.raises(ValueError, match="overflowed"):
+                empirical_suite(x, [1.0] * len(x), HyperParams(), width=50, trials=3)
 
 
 def _completed(weights, rng):

@@ -123,6 +123,8 @@ def test_input_validation():
         smo_train(np.eye(2), [1.0, -1.0], C=0.0)
     with pytest.raises(ShapeError):
         smo_train(np.eye(2), [1.0, -1.0, 1.0], C=1.0)
+    with pytest.raises(ShapeError, match="labels must be a vector"):
+        train_multiclass(np.eye(2), [0, 1, 0], C=1.0)
     # asymmetry inside the roundoff tolerance is accepted
     near = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
     assert isinstance(smo_train(near, [1.0, -1.0], C=1.0), DualModel)
@@ -294,6 +296,8 @@ def test_predict_column_mismatch():
     model = train_multiclass(np.eye(2), [0, 1], C=1.0)
     with pytest.raises(ShapeError):
         predict(model, np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="must be 2-D"):
+        predict(model, np.zeros(2))
 
 
 def test_predict_refuses_non_finite_cross_blocks():
