@@ -3,7 +3,6 @@
 from .kernels import (
     Arch,
     CompositionError,
-    Cov2,
     GramPair,
     HyperParams,
     InputOrder,
@@ -17,7 +16,6 @@ from .kernels import (
     gram_family,
     kernel_pair,
     vphi,
-    vphi_prime,
 )
 from .oracle import (
     KernelEstimate,
@@ -33,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arch",
     "CompositionError",
-    "Cov2",
     "GramPair",
     "HyperParams",
     "InputOrder",
@@ -53,6 +50,5 @@ __all__ = [
     "kernel_pair",
     "sample_rnn",
     "vphi",
-    "vphi_prime",
     "__version__",
 ]

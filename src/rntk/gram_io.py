@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .kernels import Arch, InputOrder, Variant
+from .kernels import Arch, InputOrder, Variant, _as_int
 
 MAGIC = b"RNTKGRAM"
 VERSION = 1
@@ -50,12 +50,14 @@ def write_gram(path, matrix: np.ndarray, kind: int, variant: Variant) -> None:
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise GramFormatError(f"expected a 2-D matrix, got ndim={mat.ndim}")
-    if kind not in (KIND_CK, KIND_NTK):
+    # True == 1 and 1.0 == 1, so the test alone would pass a flag or a float
+    if _as_int(kind) not in (KIND_CK, KIND_NTK):
         raise GramFormatError(f"kind must be {KIND_CK} (CK) or {KIND_NTK} (NTK)")
     n, m = mat.shape
+    # packed before the file is opened, so a refusal leaves no file behind
+    header = MAGIC + _HEADER.pack(VERSION, n, m, kind, variant_code(variant), 0)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(VERSION, n, m, kind, variant_code(variant), 0))
+        fh.write(header)
         # written from the array's own buffer, without a bytes copy of it
         fh.write(np.ascontiguousarray(mat).astype("<f8", copy=False).data)
 

@@ -5,8 +5,8 @@ network output at initialization) and the neural tangent kernel (NTK, the
 gradient inner-product kernel) for deep simple RNNs with ReLU activations,
 including bidirectional and average-pooled readouts. The kernels follow a
 layer-and-time covariance recursion whose only nonlinearity-dependent
-primitive is the arc-cosine expectation ``vphi`` and its derivative form
-``vphi_prime``.
+primitive is ``vphi``, the pair of ReLU moments of a bivariate Gaussian
+(the arc-cosine expectation and its derivative form).
 
 All entries of a Gram matrix are independent scalar recursions. The batched
 engine runs them on square blocks of row pairs, 128 x 128 (`_BLOCK_EDGE`),
@@ -89,6 +89,14 @@ def _as_real(value):
     return value if math.isfinite(value) else None
 
 
+def _real(value, name: str):
+    """value as its `_as_real` Python number, or a ValueError naming the parameter."""
+    real = _as_real(value)
+    if real is None:
+        raise ValueError(f"{name} must be a finite real, got {value!r}")
+    return real
+
+
 def _integer(value, name: str) -> int:
     """value as a Python int, or a ValueError naming the parameter."""
     count = _as_int(value)
@@ -148,16 +156,6 @@ class Variant:
         return Variant(Arch(arch), InputOrder(order))
 
 
-def _store_reals(obj, names):
-    """Replace each named field of a frozen dataclass by its `_as_real` value."""
-    for name in names:
-        value = getattr(obj, name)
-        real = _as_real(value)
-        if real is None:
-            raise ValueError(f"{name} must be a finite real, got {value!r}")
-        object.__setattr__(obj, name, real)
-
-
 @dataclass(frozen=True)
 class HyperParams:
     """Initialization scales and depth of the recurrent network.
@@ -176,7 +174,8 @@ class HyperParams:
     depth_L: int = 1
 
     def __post_init__(self):
-        _store_reals(self, ("sigma_w", "sigma_u", "sigma_b", "sigma_v"))
+        for name in ("sigma_w", "sigma_u", "sigma_b", "sigma_v"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.sigma_w <= 0 or self.sigma_u <= 0 or self.sigma_v <= 0:
             raise ValueError("sigma_w, sigma_u, sigma_v must be positive")
         if self.sigma_b < 0:
@@ -185,20 +184,6 @@ class HyperParams:
         if depth is None or depth < 1:
             raise ValueError(f"depth_L must be a positive integer, got {self.depth_L!r}")
         object.__setattr__(self, "depth_L", depth)
-
-
-@dataclass(frozen=True)
-class Cov2:
-    """2x2 covariance of a bivariate Gaussian: variances k1, k2, covariance k3."""
-
-    k1: float
-    k2: float
-    k3: float
-
-    def __post_init__(self):
-        _store_reals(self, ("k1", "k2", "k3"))
-        if self.k1 < 0 or self.k2 < 0:
-            raise ValueError("variances k1, k2 must be nonnegative")
 
 
 def _workspace(shape):
@@ -290,18 +275,19 @@ def _vphi_scalar(k1: float, k2: float, k3: float) -> tuple[float, float]:
     return vp, ang / (2.0 * math.pi)
 
 
-def vphi(cov: Cov2) -> float:
-    """E[relu(z1) * relu(z2)] for (z1, z2) ~ N(0, [[k1, k3], [k3, k2]]).
+def vphi(k1, k2, k3) -> tuple[float, float]:
+    """The two ReLU moments of (z1, z2) ~ N(0, [[k1, k3], [k3, k2]]).
 
-    Closed form: (c*(pi - acos(c)) + sqrt(1 - c^2)) * sqrt(k1*k2) / (2*pi)
-    with c = k3 / sqrt(k1*k2) clamped to [-1, 1].
+    Returns (E[relu(z1) * relu(z2)], E[relu'(z1) * relu'(z2)]), in closed form
+    (c*(pi - acos(c)) + sqrt(1 - c^2)) * sqrt(k1*k2) / (2*pi) and
+    (pi - acos(c)) / (2*pi), with c = k3 / sqrt(k1*k2) clamped to [-1, 1].
+    Each argument must be a finite real (numpy scalars count, bools do not),
+    and the variances k1, k2 nonnegative.
     """
-    return _vphi_scalar(cov.k1, cov.k2, cov.k3)[0]
-
-
-def vphi_prime(cov: Cov2) -> float:
-    """E[relu'(z1) * relu'(z2)] = (pi - acos(c)) / (2*pi), c clamped to [-1, 1]."""
-    return _vphi_scalar(cov.k1, cov.k2, cov.k3)[1]
+    k1, k2, k3 = _real(k1, "k1"), _real(k2, "k2"), _real(k3, "k3")
+    if k1 < 0 or k2 < 0:
+        raise ValueError("variances k1, k2 must be nonnegative")
+    return _vphi_scalar(k1, k2, k3)
 
 
 def _input_pair(x, x_prime) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kernels import ShapeError, _integer
+from .kernels import ShapeError, _as_real, _integer
 
 log = logging.getLogger("rntk.svm")
 
@@ -54,10 +54,14 @@ class DualModel:
     def __post_init__(self):
         if self.support_indices.shape != self.alphas.shape:
             raise ShapeError("support_indices and alphas must align")
-        if np.any(np.abs(self.alphas) > self.C * (1 + 1e-12)):
+        # NaN fails this test: a NaN model would vote for each pair's second
+        # label, and a warm start from it would run SMO to max_iter
+        if not (np.abs(self.alphas) <= self.C * (1 + 1e-12)).all():
             raise ValueError("dual coefficients exceed the box constraint")
         if abs(float(self.alphas.sum())) > 1e-8 * max(1.0, self.C):
             raise ValueError("equality constraint violated: sum of signed alphas != 0")
+        if not np.isfinite(self.bias):
+            raise ValueError(f"bias must be finite, got {self.bias}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,22 @@ def _bias(F, y, alpha, C, m, M):
     return float(0.5 * (m + M))
 
 
+def _settings(C, tol, max_iter):
+    """C, tol and max_iter as Python numbers, once each is a valid setting."""
+    # C = inf turns the 1e-8 * max(1, C) equality tolerances into inf
+    C_real = _as_real(C)
+    if C_real is None or C_real <= 0:
+        raise ValueError(f"C must be a finite number > 0, got {C}")
+    # tol <= 0 or nan never meets the stopping test; tol = inf stops at once
+    tol_real = _as_real(tol)
+    if tol_real is None or tol_real <= 0:
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+    iters = _integer(max_iter, "max_iter")
+    if iters < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    return C_real, tol_real, iters
+
+
 def smo_train(gram, labels, C: float, tol: float = 1e-3,
               max_iter: int = 10_000_000, class_pair: tuple = (1, -1),
               alpha0=None) -> DualModel:
@@ -202,6 +222,7 @@ def smo_train(gram, labels, C: float, tol: float = 1e-3,
     roundoff band, it warns, adds |lambda_min| to the diagonal, and
     retries once from the same start before giving up.
     """
+    C, tol, max_iter = _settings(C, tol, max_iter)
     K = _check_gram(gram)
     y = np.asarray(labels, dtype=np.float64)
     if y.shape != (K.shape[0],):
@@ -214,27 +235,20 @@ def smo_train(gram, labels, C: float, tol: float = 1e-3,
 
 
 def _fit_pair(K, y, C, tol, max_iter, class_pair, alpha0, rows) -> DualModel:
-    """`smo_train` on a Gram and +/-1 labels that have passed its checks.
+    """`smo_train` on a Gram, +/-1 labels and settings that have passed its checks.
 
     A principal block of a checked Gram passes the same elementwise
     symmetry test, so `train_multiclass` fits its pairs here without
-    scanning every block again. C and alpha0 are checked here. rows[k] is
+    scanning every block again. alpha0 is checked here. rows[k] is
     the training-set position of row k of K, which the model's support
     indices name.
     """
-    # C = inf turns the 1e-8 * max(1, C) equality tolerances below into inf
-    if not (0 < C < np.inf):
-        raise ValueError(f"C must be a finite number > 0, got {C}")
-    # tol <= 0 or nan never meets the stopping test; tol = inf stops at once
-    if not (0 < tol < np.inf):
-        raise ValueError(f"tol must be a finite number > 0, got {tol}")
-    if _integer(max_iter, "max_iter") < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if alpha0 is not None:
         alpha0 = np.asarray(alpha0, dtype=np.float64)
         if alpha0.shape != y.shape:
             raise ShapeError("alpha0 must be a vector matching the gram size")
-        if np.any(alpha0 < 0.0) or np.any(alpha0 > C):
+        # NaN fails this test, so a NaN start cannot run SMO to max_iter
+        if not ((alpha0 >= 0.0) & (alpha0 <= C)).all():
             raise ValueError("alpha0 lies outside the box [0, C]")
         if abs(float(y @ alpha0)) > 1e-8 * max(1.0, C):
             raise ValueError("alpha0 violates the equality constraint y'a = 0")
@@ -290,6 +304,7 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
     Each pair whose model there is a DualModel with C no larger than this
     C starts SMO from that model's alphas; any other pair starts at zero.
     """
+    C, tol, max_iter = _settings(C, tol, max_iter)
     K = _check_gram(gram)
     lab = _integer_labels(labels, "labels")
     if lab.shape != (K.shape[0],):

@@ -22,7 +22,6 @@ import numpy as np
 
 from rntk import (
     Arch,
-    Cov2,
     HyperParams,
     Variant,
     analytic_suite,
@@ -32,7 +31,6 @@ from rntk import (
     kernel_pair,
     sample_rnn,
     vphi,
-    vphi_prime,
 )
 from rntk.bench import HyperGrid, load_dataset, run_protocol, run_suite
 from rntk.svm import decision_function, smo_train
@@ -195,9 +193,9 @@ def test_criterion_05_relu_moment_closed_forms(capsys):
             sum_d += d.sum()
             sumsq_d += (d * d).sum()
             n += m
-        cov = Cov2(k1, k2, c * math.sqrt(k1 * k2))
-        for analytic, total, totalsq in ((vphi(cov), sum_p, sumsq_p),
-                                         (vphi_prime(cov), sum_d, sumsq_d)):
+        moment, moment_prime = vphi(k1, k2, c * math.sqrt(k1 * k2))
+        for analytic, total, totalsq in ((moment, sum_p, sumsq_p),
+                                         (moment_prime, sum_d, sumsq_d)):
             mean = total / n
             var = max(0.0, (totalsq - n * mean * mean) / (n - 1))
             stderr = math.sqrt(var / n)

@@ -111,6 +111,11 @@ def test_invalid_inputs(tmp_path):
         write_gram(tmp_path / "x.gram", np.zeros(3), KIND_CK, Variant())
     with pytest.raises(GramFormatError):
         write_gram(tmp_path / "x.gram", np.zeros((2, 2)), 7, Variant())
+    # a flag or a float equals a kind code, but is not one; no file is left
+    for kind in (True, 1.0):
+        with pytest.raises(GramFormatError, match="kind must be"):
+            write_gram(tmp_path / "x.gram", np.zeros((2, 2)), kind, Variant())
+        assert not (tmp_path / "x.gram").exists()
     with pytest.raises(GramFormatError):
         write_gram_csv(tmp_path / "x.csv", np.zeros(3))
 

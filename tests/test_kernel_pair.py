@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rntk import Cov2, HyperParams, ShapeError, kernel_pair
+from rntk import HyperParams, ShapeError, kernel_pair, vphi
 
 
 def _vphi_ref(k1, k2, k3):
@@ -154,8 +154,8 @@ def test_numbers_from_numpy_are_stored_as_python_numbers():
     assert repr(hp) == repr(HyperParams(depth_L=2, sigma_u=0.5, sigma_b=0.1))
     # Python ints stay ints, so labels built from them keep their text
     assert repr(HyperParams(sigma_u=1).sigma_u) == "1"
-    cov = Cov2(np.float32(1.0), 1.0, np.int64(0))
-    assert cov == Cov2(1.0, 1.0, 0) and type(cov.k1) is float and type(cov.k3) is int
+    assert vphi(np.float32(1.0), 1.0, np.int64(0)) == vphi(1.0, 1.0, 0)
+    assert all(type(m) is float for m in vphi(np.float64(2.0), 2.0, np.float64(2.0)))
     for field in ("sigma_w", "sigma_u", "sigma_b", "sigma_v"):
         for bad in (True, 10**400):
             with pytest.raises(ValueError, match=f"{field} must be a finite real"):
@@ -164,4 +164,4 @@ def test_numbers_from_numpy_are_stored_as_python_numbers():
         with pytest.raises(ValueError, match="depth_L must be a positive integer"):
             HyperParams(depth_L=depth)
     with pytest.raises(ValueError, match="k2 must be a finite real"):
-        Cov2(1.0, False, 0.0)
+        vphi(1.0, False, 0.0)

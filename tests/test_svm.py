@@ -141,14 +141,20 @@ def test_bad_solver_settings_rejected_before_iterating():
     # tol <= 0 or nan never meets the stopping test and runs to max_iter;
     # tol = inf stops before the first step
     gram, y = random_problem(51)
-    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+    # a flag is not a tolerance; every pair a constant vote still checks it
+    for tol in (-1.0, 0.0, float("nan"), float("inf"), True, "0.1"):
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             smo_train(gram, y, C=1.0, tol=tol, max_iter=1000)
         with pytest.raises(ValueError, match="tol must be a finite number > 0"):
             train_multiclass(gram, (y > 0).astype(int), C=1.0, tol=tol, max_iter=1000)
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            train_multiclass(np.eye(3), [0, 0, 0], C=1.0, tol=tol, label_set=[0, 1])
     for max_iter in (0, -5):
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             smo_train(gram, y, C=1.0, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            train_multiclass(np.eye(3), [0, 0, 0], C=1.0, max_iter=max_iter,
+                             label_set=[0, 1])
     for max_iter in (2.5, 1000.0, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             smo_train(gram, y, C=1.0, max_iter=max_iter)
@@ -156,6 +162,13 @@ def test_bad_solver_settings_rejected_before_iterating():
             train_multiclass(gram, (y > 0).astype(int), C=1.0, max_iter=max_iter)
     a, b = smo_train(gram, y, C=1.0, max_iter=np.int64(1000)), smo_train(gram, y, C=1.0)
     assert np.array_equal(a.support_indices, b.support_indices) and a.bias == b.bias
+    # numpy scalars are settings too, and train the same model bit for bit
+    labels = (y > 0).astype(int)
+    for fit in (lambda **s: smo_train(gram, y, **s),
+                lambda **s: train_multiclass(gram, labels, **s).models[0]):
+        a, b = fit(C=np.float64(1.0), tol=np.float64(1e-3)), fit(C=1.0, tol=1e-3)
+        assert np.array_equal(a.support_indices, b.support_indices) and a.bias == b.bias
+        assert np.array_equal(a.alphas, b.alphas) and a.C == b.C
 
 
 def test_non_finite_gram_and_infinite_C_rejected_before_iterating():
@@ -171,11 +184,15 @@ def test_non_finite_gram_and_infinite_C_rejected_before_iterating():
             smo_train(K, y, C=1.0, max_iter=1000)
         with pytest.raises(ValueError, match="gram must be finite"):
             train_multiclass(K, labels, C=1.0, max_iter=1000)
-    for C in (np.inf, np.nan, 0.0, -1.0):
+    # C = True trained with C == 1 and C = "1" raised a bare TypeError; with
+    # every pair a constant vote, no C was checked at all
+    for C in (np.inf, np.nan, 0.0, -1.0, True, "1", "x"):
         with pytest.raises(ValueError, match="C must be a finite number > 0"):
             smo_train(gram, y, C=C, max_iter=1000)
         with pytest.raises(ValueError, match="C must be a finite number > 0"):
             train_multiclass(gram, labels, C=C, max_iter=1000)
+        with pytest.raises(ValueError, match="C must be a finite number > 0"):
+            train_multiclass(np.eye(3), [0, 0, 0], C=C, label_set=[0, 1])
 
 
 def test_labels_outside_label_set_rejected():
@@ -205,6 +222,24 @@ def test_dual_model_invariants_enforced():
     with pytest.raises(ValueError):
         DualModel(support_indices=np.array([0]), alphas=np.array([5.0]),
                   bias=0.0, C=2.0, class_pair=(0, 1))
+    # NaN passed both constraint tests; a NaN bias voted for each second label
+    for alphas, bias in (([np.nan, np.nan], 0.0), ([1.0, -1.0], np.nan),
+                         ([1.0, -1.0], np.inf)):
+        with pytest.raises(ValueError):
+            DualModel(support_indices=np.array([0, 1]), alphas=np.array(alphas),
+                      bias=bias, C=2.0, class_pair=(0, 1))
+
+
+def test_nan_warm_start_rejected_before_iterating(monkeypatch):
+    # a NaN start passed the box test and ran SMO to max_iter
+    def fail(*args, **kwargs):
+        raise AssertionError("SMO ran")
+
+    monkeypatch.setattr(svm, "_smo_loop", fail)
+    gram, y = random_problem(52, n=4)
+    for alpha0 in ([np.nan] * 4, [0.0, 0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match=r"alpha0 lies outside the box \[0, C\]"):
+            smo_train(gram, y, C=1.0, alpha0=alpha0)
 
 
 def test_zero_decision_maps_to_smaller_label():
