@@ -21,7 +21,6 @@ from .oracle import (
     KernelEstimate,
     RNNWeights,
     analytic_suite,
-    empirical_cross_head,
     empirical_suite,
     sample_rnn,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "RNNWeights",
     "Variant",
     "analytic_suite",
-    "empirical_cross_head",
     "empirical_suite",
     "flip",
     "gram",

@@ -313,6 +313,12 @@ class RBFSpec:
     def label(self, selector, C) -> str:
         return f"rbf|gamma={self.gamma:g}|C={C:g}"
 
+    def kernel(self, A, B):
+        """exp(-gamma |a - b|^2) of every row pair, distances clipped at 0."""
+        aa = (A * A).sum(axis=1)[:, None]
+        bb = (B * B).sum(axis=1)[None, :]
+        return np.exp(-self.gamma * np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0))
+
 
 @dataclass(frozen=True)
 class PolySpec:
@@ -321,36 +327,26 @@ class PolySpec:
     def label(self, selector, C) -> str:
         return f"poly|degree={self.degree}|C={C:g}"
 
-
-def _sq_dists(A, B):
-    aa = (A * A).sum(axis=1)[:, None]
-    bb = (B * B).sum(axis=1)[None, :]
-    return np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
+    def kernel(self, A, B):
+        """(a.b / T + 1)^degree of every row pair."""
+        return (A @ B.T / A.shape[1] + 1.0) ** self.degree
 
 
 def _family_matrices(specs, train_X, test_X, threads):
-    """{spec: {selector: (train Gram, cross Gram)}} of RNN specs of one family.
+    """{spec: {selector: (train Gram, cross Gram)}} of one kernel family.
 
-    All of them come from one train-by-train and one test-by-train call,
-    bit for bit what `gram`/`gram_cross` return for each spec alone.
+    A baseline family is one spec with the one selector None. An RNN
+    family's matrices come from one train-by-train and one test-by-train
+    call, bit for bit what `gram`/`gram_cross` return for each spec alone.
     """
+    if not isinstance(specs[0], RNNKernelSpec):
+        (spec,) = specs
+        return {spec: {None: (spec.kernel(train_X, train_X), spec.kernel(test_X, train_X))}}
     members = [(spec.params, spec.variant) for spec in specs]
     fulls = gram_family(train_X, members, threads=threads)
     crosses = gram_cross_family(train_X, test_X, members, threads=threads)
     return {spec: {SELECTOR_CK: (full.ck, cross.ck), SELECTOR_NTK: (full.ntk, cross.ntk)}
             for spec, full, cross in zip(specs, fulls, crosses)}
-
-
-def _baseline_matrices(spec, train_X, test_X):
-    """{None: (train Gram, test-by-train cross Gram)} of an RBF or poly spec."""
-    if isinstance(spec, RBFSpec):
-        K = np.exp(-spec.gamma * _sq_dists(train_X, train_X))
-        C = np.exp(-spec.gamma * _sq_dists(test_X, train_X))
-        return {None: (K, C)}
-    T = train_X.shape[1]
-    base_tr = train_X @ train_X.T / T + 1.0
-    base_te = test_X @ train_X.T / T + 1.0
-    return {None: (base_tr**spec.degree, base_te**spec.degree)}
 
 
 def _method_configs(method: str, grid: HyperGrid, T: int):
@@ -401,17 +397,13 @@ def _predictions(configs, train_X, test_X, train_y, label_set, threads):
     """
     families = {}
     for cfg in dict.fromkeys(configs):
-        spec = key = cfg[0]
-        if isinstance(spec, RNNKernelSpec):
-            key = _family_key(spec.params)
+        spec = cfg[0]
+        key = _family_key(spec.params) if isinstance(spec, RNNKernelSpec) else spec
         families.setdefault(key, []).append(cfg)
     last_models, preds, computed = {}, {}, 0
     for group in families.values():
         specs = list(dict.fromkeys(spec for spec, _, _ in group))
-        if isinstance(specs[0], RNNKernelSpec):
-            kernels = _family_matrices(specs, train_X, test_X, threads)
-        else:
-            kernels = {specs[0]: _baseline_matrices(specs[0], train_X, test_X)}
+        kernels = _family_matrices(specs, train_X, test_X, threads)
         computed += len(kernels)
         for cfg in group:
             spec, selector, C = cfg

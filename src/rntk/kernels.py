@@ -282,12 +282,16 @@ def vphi(k1, k2, k3) -> tuple[float, float]:
     (c*(pi - acos(c)) + sqrt(1 - c^2)) * sqrt(k1*k2) / (2*pi) and
     (pi - acos(c)) / (2*pi), with c = k3 / sqrt(k1*k2) clamped to [-1, 1].
     Each argument must be a finite real (numpy scalars count, bools do not),
-    and the variances k1, k2 nonnegative.
+    and the variances k1, k2 nonnegative. Moments that overflow raise the
+    ValueError that `kernel_pair` raises.
     """
-    k1, k2, k3 = _real(k1, "k1"), _real(k2, "k2"), _real(k3, "k3")
+    k1, k2, k3 = float(_real(k1, "k1")), float(_real(k2, "k2")), float(_real(k3, "k3"))
     if k1 < 0 or k2 < 0:
         raise ValueError("variances k1, k2 must be nonnegative")
-    return _vphi_scalar(k1, k2, k3)
+    moments = _vphi_scalar(k1, k2, k3)
+    if not all(map(math.isfinite, moments)):
+        raise ValueError(_OVERFLOW)
+    return moments
 
 
 def _input_pair(x, x_prime) -> np.ndarray:

@@ -3,15 +3,14 @@
 Samples concrete random RNNs, runs the forward recursion and
 backpropagation through time, and estimates the CK (covariance of
 outputs) and the NTK (inner product of parameter gradients) across
-independent weight draws. There are two estimators: `empirical_suite`
+independent weight draws. There is one estimator: `empirical_suite`
 gives all eight (architecture, CK/NTK) estimates of one input pair from
-shared draws, and `empirical_cross_head` the statistics between two
-output heads. Both push the two inputs through the same weights as a
+shared draws. It pushes the two inputs through the same weights as a
 two-column batch, and gradient inner products are assembled blockwise
 from hidden-state and delta Gram matrices, so wide networks never
 materialize a flat gradient.
 
-The estimators never draw an n x n weight matrix in full. One trial
+The estimator never draws an n x n weight matrix in full. One trial
 touches each of them only through a few dozen products with vectors that
 depend on earlier answers, and `_LazyGaussian` samples exactly those
 products, in law, by Gaussian conditioning (Bolthausen 2014; Yang,
@@ -40,7 +39,7 @@ class RNNWeights:
     biases; V: (T, n) output heads, one independent row per time step.
 
     `sample_rnn` fills every entry with dense arrays. Inside the Monte
-    Carlo estimators W[l] and U[l>=1] are `_LazyGaussian` operators
+    Carlo estimator W[l] and U[l>=1] are `_LazyGaussian` operators
     instead. The recursion uses only `@` and `.T @`, which both kinds
     support, so `_forward_cols` and `_backward_cols` run on either.
     """
@@ -424,30 +423,3 @@ def analytic_suite(x, x_prime, params: HyperParams):
             values = [getattr(p, f"{kind}_{head}") for p in passes]
             suite[(arch, kind)] = _directions(variant, values)
     return suite
-
-
-def empirical_cross_head(x, x_prime, params: HyperParams, *, width: int, trials: int,
-                         seed=0, head_a: int, head_b: int):
-    """Cross-head statistics between readouts at two different time steps.
-
-    Returns (products, inners): Monte Carlo estimates of
-    E[f^(head_a)(x) * f^(head_b)(x')] and of the gradient inner product
-    between the two heads. Both vanish in the infinite-width limit when
-    head_a != head_b because the output weights of distinct heads are
-    independent.
-    """
-    x2 = _input_pair(x, x_prime)
-    T = x2.shape[0]
-    head_a, head_b = _integer(head_a, "head_a"), _integer(head_b, "head_b")
-    if not (0 <= head_a < T and 0 <= head_b < T):
-        raise ValueError(f"head indices must be in [0, {T})")
-    seeds = _trial_seeds(seed, width, trials)
-    Csel = np.zeros((T, 2))
-    Csel[head_a, 0] = 1.0
-    Csel[head_b, 1] = 1.0
-    prods = np.empty(trials)
-    inners = np.empty(trials)
-    for i, child in enumerate(seeds):
-        heads, (inners[i],) = _run_net(params, width, child, x2, Csel, [(0, 1)])
-        prods[i] = heads[head_a, 0] * heads[head_b, 1]
-    return _estimate(prods, width), _estimate(inners, width)

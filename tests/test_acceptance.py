@@ -25,7 +25,6 @@ from rntk import (
     HyperParams,
     Variant,
     analytic_suite,
-    empirical_cross_head,
     empirical_suite,
     gram,
     kernel_pair,
@@ -34,6 +33,7 @@ from rntk import (
 )
 from rntk.bench import HyperGrid, load_dataset, run_protocol, run_suite
 from rntk.svm import decision_function, smo_train
+from cross_head import empirical_cross_head
 from dense_bptt import central_difference, flat_gradient, n_weights
 from svm_reference import dual_objective, projected_gradient_reference
 

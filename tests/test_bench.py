@@ -15,6 +15,7 @@ from rntk.bench import (
     Dataset,
     DatasetFormatError,
     HyperGrid,
+    PolySpec,
     RBFSpec,
     RNNKernelSpec,
     Splits,
@@ -374,33 +375,17 @@ def test_predictions_hold_one_family_of_matrices_at_a_time(monkeypatch):
                      methods=("rnn", "rbf", "rnn-avg"))
     configs = [cfg for m in grid.methods for cfg in _method_configs(m, grid, ds.T)]
     alive, computed_specs = [], []
-    real_family, real_cross = bench.gram_family, bench.gram_cross_family
-    real_baseline = bench._baseline_matrices
+    real_matrices = bench._family_matrices
 
-    def fresh(specs):
+    def spy_matrices(specs, train_X, test_X, threads):
         assert all(ref() is None for ref in alive), "an earlier family is still alive"
         computed_specs.append(specs)
-
-    def spy_family(data, members, **kwargs):
-        fresh([RNNKernelSpec(*m) for m in members])
-        out = real_family(data, members, **kwargs)
-        alive.extend(weakref.ref(m) for pair in out for m in (pair.ck, pair.ntk))
+        out = real_matrices(specs, train_X, test_X, threads)
+        alive.extend(weakref.ref(m) for per_spec in out.values()
+                     for pair in per_spec.values() for m in pair)
         return out
 
-    def spy_cross(train, test, members, **kwargs):
-        out = real_cross(train, test, members, **kwargs)
-        alive.extend(weakref.ref(m) for pair in out for m in (pair.ck, pair.ntk))
-        return out
-
-    def spy_baseline(spec, train_X, test_X):
-        fresh([spec])
-        out = real_baseline(spec, train_X, test_X)
-        alive.extend(weakref.ref(m) for m in out[None])
-        return out
-
-    monkeypatch.setattr(bench, "gram_family", spy_family)
-    monkeypatch.setattr(bench, "gram_cross_family", spy_cross)
-    monkeypatch.setattr(bench, "_baseline_matrices", spy_baseline)
+    monkeypatch.setattr(bench, "_family_matrices", spy_matrices)
     preds, computed = _predictions(configs, ds.features[:8], ds.features[8:],
                                    ds.labels[:8], np.arange(2), threads=1)
     rnn = [dict.fromkeys(s for s, _, _ in _method_configs(m, grid, ds.T))
@@ -411,6 +396,29 @@ def test_predictions_hold_one_family_of_matrices_at_a_time(monkeypatch):
     assert computed_specs == [family[0], family[1], [rbf[0]], [rbf[1]]]
     assert computed == 10 and set(preds) == set(configs)
     assert all(ref() is None for ref in alive)
+
+
+def test_baseline_kernels_match_their_definitions():
+    rng = np.random.default_rng(23)
+    train, test = rng.standard_normal((9, 5)), rng.standard_normal((4, 5))
+    for gamma in (0.02, 0.2, 2.0):
+        spec = RBFSpec(gamma=gamma)
+        for A in (train, test):
+            want = np.array([[math.exp(-gamma * float(((a - b) ** 2).sum())) for b in train]
+                             for a in A])
+            assert np.allclose(spec.kernel(A, train), want, rtol=0, atol=1e-12)
+    for degree in (1, 2, 3):
+        spec = PolySpec(degree=degree)
+        for A in (train, test):
+            want = np.array([[(float(a @ b) / 5 + 1.0) ** degree for b in train] for a in A])
+            assert np.allclose(spec.kernel(A, train), want, rtol=0, atol=1e-12)
+    # a baseline spec is a family of its own, with the one selector None
+    for spec in (RBFSpec(gamma=0.2), PolySpec(degree=3)):
+        out = bench._family_matrices([spec], train, test, threads=1)
+        assert list(out) == [spec] and list(out[spec]) == [None]
+        K, cross = out[spec][None]
+        assert np.array_equal(K, spec.kernel(train, train))
+        assert np.array_equal(cross, spec.kernel(test, train))
 
 
 def test_protocol_deterministic_and_counted():

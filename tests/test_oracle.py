@@ -18,10 +18,10 @@ from rntk.oracle import (
     _selectors,
     _suite_trial,
     analytic_suite,
-    empirical_cross_head,
     empirical_suite,
     sample_rnn,
 )
+from cross_head import empirical_cross_head
 from dense_bptt import central_difference, flat_gradient, gradient_blocks, n_weights, readout
 from lazy_completion import complete
 from suite_reference import analytic_table, suite_trial_table
@@ -203,19 +203,10 @@ def test_counts_must_be_integers():
             sample_rnn(HP, width=bad, T=2)
         with pytest.raises(ValueError, match="T must be an integer"):
             sample_rnn(HP, width=4, T=bad)
-        # numpy died with a bare IndexError or "setting an array element"
-        with pytest.raises(ValueError, match="head_a must be an integer"):
-            empirical_cross_head(x, x, HP, width=10, trials=2, head_a=bad, head_b=0)
-        with pytest.raises(ValueError, match="head_b must be an integer"):
-            empirical_cross_head(x, x, HP, width=10, trials=2, head_a=0, head_b=bad)
     assert (empirical_suite(x, x, HP, width=np.int64(10), trials=np.int32(2), seed=3)
             == empirical_suite(x, x, HP, width=10, trials=2, seed=3))
     assert (empirical_cross_head(x, x, HP, width=10, trials=2, head_a=np.int64(1), head_b=0)
             == empirical_cross_head(x, x, HP, width=10, trials=2, head_a=1, head_b=0))
-    # an integer head outside the sequence
-    for head_a, head_b in ((2, 0), (0, -1)):
-        with pytest.raises(ValueError, match=r"head indices must be in \[0, 2\)"):
-            empirical_cross_head(x, x, HP, width=10, trials=2, head_a=head_a, head_b=head_b)
 
 
 def test_suite_is_the_only_estimate_route():
@@ -225,6 +216,10 @@ def test_suite_is_the_only_estimate_route():
 
     for name in ("empirical_ck", "empirical_ntk", "compose_bidirectional"):
         assert not hasattr(rntk, name), name
+    # the cross-head statistics are a test helper (tests/cross_head.py)
+    assert not hasattr(rntk, "empirical_cross_head")
+    assert not hasattr(rntk.oracle, "empirical_cross_head")
+    assert "empirical_cross_head" not in rntk.__all__
     # the dense forward/gradient route: BPTT runs only through
     # _forward_cols and _backward_cols
     for name in ("forward", "ForwardTrace", "gradient", "_gradient_blocks",

@@ -79,6 +79,17 @@ def test_invalid_inputs_rejected():
         vphi(1.0, 1.0, float("nan"))
 
 
+def test_overflowing_moments_refused_by_name():
+    # the int product raised a bare OverflowError, and the float one returned inf
+    with pytest.raises(ValueError, match="overflowed"):
+        vphi(10**300, 10**300, 0)
+    with pytest.raises(ValueError, match="overflowed"):
+        vphi(1e300, 1e300, 1e299)
+    # ints are moments of their float values
+    assert vphi(10**150, 10**150, 0) == vphi(1e150, 1e150, 0.0)
+    assert math.isfinite(vphi(1e150, 1e150, 0.0)[0])
+
+
 def test_one_public_moment_function():
     assert not hasattr(rntk, "Cov2") and not hasattr(rntk, "vphi_prime")
     assert "Cov2" not in rntk.__all__ and "vphi_prime" not in rntk.__all__
