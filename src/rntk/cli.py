@@ -49,6 +49,19 @@ def _trials_arg(text):
     return value
 
 
+def _sigma(field):
+    """The argparse type of a --sigma-* flag: a float that `HyperParams`
+    accepts as `field`, so a scale it refuses is a usage error."""
+    def parse(text):
+        try:
+            value = float(text)
+            HyperParams(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+    return parse
+
+
 def _int_list(text):
     try:
         values = [int(v) for v in text.split(",") if v != ""]
@@ -75,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--order", choices=_ORDER_NAMES, default="default")
     g.add_argument("--L", type=_positive_int, default=HyperParams.depth_L,
                    help="number of layers")
-    g.add_argument("--sigma-u", type=float, default=HyperParams.sigma_u)
-    g.add_argument("--sigma-b", type=float, default=HyperParams.sigma_b)
-    g.add_argument("--sigma-w", type=float, default=HyperParams.sigma_w)
-    g.add_argument("--sigma-v", type=float, default=None,
+    g.add_argument("--sigma-u", type=_sigma("sigma_u"), default=HyperParams.sigma_u)
+    g.add_argument("--sigma-b", type=_sigma("sigma_b"), default=HyperParams.sigma_b)
+    g.add_argument("--sigma-w", type=_sigma("sigma_w"), default=HyperParams.sigma_w)
+    g.add_argument("--sigma-v", type=_sigma("sigma_v"), default=None,
                    help="output scale; default derives from the variant")
     g.add_argument("--format", choices=["binary", "csv"], default="binary")
     g.add_argument("--threads", type=_positive_int, default=None)
@@ -89,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--L-list", type=_int_list, default=[1, 2])
     v.add_argument("--T-list", type=_int_list, default=[2, 5])
-    v.add_argument("--sigma-u", type=float, default=HyperParams.sigma_u)
-    v.add_argument("--sigma-b", type=float, default=HyperParams.sigma_b)
+    v.add_argument("--sigma-u", type=_sigma("sigma_u"), default=HyperParams.sigma_u)
+    v.add_argument("--sigma-b", type=_sigma("sigma_b"), default=HyperParams.sigma_b)
     v.add_argument("--out", default=None, help="write the JSON report here "
                                                "instead of stdout")
 

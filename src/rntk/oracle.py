@@ -17,6 +17,13 @@ products, in law, by Gaussian conditioning (Bolthausen 2014; Yang,
 arXiv 1902.04760): O(n k) work and memory for k products instead of
 O(n^2). `sample_rnn` draws every matrix densely, for callers that need
 real matrices, such as finite differences.
+
+One `empirical_suite` call allocates the width-sized arrays its nets
+write once, as a `_WorkingSet`: the lazy operators' stores, the drawn
+U[0], b and V, and the passes' H, masks and Delta. Every net of every
+trial draws into it in turn, and it is dropped on return, so the
+allocator does not hand those megabytes back to the system and fault
+them in again at every draw.
 """
 
 from __future__ import annotations
@@ -112,21 +119,26 @@ class _LazyGaussian:
     R (Z.T q) + (I - R R.T) g with fresh g ~ N(0, I_n), so each answer
     follows the law of a dense draw, and backward products stay
     conditioned on forward ones. `.T` answers left products the same way
-    with the two sides swapped. Fresh normals come from `rng`, one
-    `standard_normal(n)` per new direction, in query order.
+    with the two sides swapped. Fresh normals come from the generator
+    given to `redraw`, one n-vector per new direction, in query order.
 
     `rows` bounds the right and the left products the caller will ask
     for; each side's stores are allocated once at that many rows, capped
-    at n because orthonormal directions never exceed n.
+    at n because orthonormal directions never exceed n. `redraw` starts
+    each draw, the first one included: it forgets every answer, so one
+    operator serves draw after draw in the same stores.
     """
 
-    def __init__(self, n: int, rng, rows):
+    def __init__(self, n: int, rows):
         self.shape = (n, n)
-        self._rng = rng
         # side 0: right products (Q, Y); side 1: left products (R, Z)
-        self._known = [0, 0]
         self._dirs = [np.empty((min(k, n), n)) for k in rows]
         self._images = [np.empty((min(k, n), n)) for k in rows]
+
+    def redraw(self, rng):
+        """Start a fresh draw whose normals come from `rng`."""
+        self._rng = rng
+        self._known = [0, 0]
 
     @property
     def T(self):
@@ -140,10 +152,11 @@ class _LazyGaussian:
     def _apply(self, side, V):
         out = np.empty(V.shape)
         for j in range(V.shape[1]):
-            out[:, j] = self._answer(side, V[:, j])
+            self._answer(side, V[:, j], out[:, j])
         return out
 
-    def _answer(self, side, v):
+    def _answer(self, side, v, out):
+        """Write the product of W (side 0) or W.T (side 1) with v into out."""
         k = self._known[side]
         Q, Y = self._dirs[side][:k], self._images[side][:k]
         c = Q @ v
@@ -158,21 +171,21 @@ class _LazyGaussian:
         if not math.isfinite(norm):
             raise ValueError(_OVERFLOW)
         if norm <= _IN_SPAN * math.sqrt(float(v @ v)):
-            return c @ Y
-        q = r / norm
+            out[:] = c @ Y
+            return
+        # the new direction and its image are written straight into row k
+        q = np.divide(r, norm, out=self._dirs[side][k])
         other = 1 - side
         m = self._known[other]
         R, Z = self._dirs[other][:m], self._images[other][:m]
-        g = self._rng.standard_normal(q.size)
-        image = (Z @ q) @ R + g - (R @ g) @ R
-        self._append(side, q, image)
-        return c @ Y + norm * image
-
-    def _append(self, side, q, image):
-        k = self._known[side]
-        self._dirs[side][k] = q
-        self._images[side][k] = image
+        # image = (Z q) R + g - (R g) R, summed onto g in g's row
+        image = self._rng.standard_normal(out=self._images[side][k])
+        seen = (R @ image) @ R
+        image += (Z @ q) @ R
+        image -= seen
         self._known[side] = k + 1
+        np.multiply(image, norm, out=out)
+        out += c @ Y
 
 
 class _Transposed:
@@ -185,86 +198,124 @@ class _Transposed:
         return self._op._apply(1, V)
 
 
-def _lazy_rnn(params: HyperParams, width: int, T: int, seed, rows) -> RNNWeights:
-    """An RNN draw whose n x n matrices are `_LazyGaussian` operators.
+class _WorkingSet:
+    """Every width-sized array one net writes, allocated once and reused.
 
-    U[0], each b[l] and V (O(n T) entries) are drawn up front, in that
-    order, from one generator; the lazy operators then draw from the
-    same generator as they are queried. `rows` is each operator's
-    (right, left) product budget.
+    A net is one draw run forward on a (T, B) batch and backward for S
+    readout selectors (S = 0 sizes a forward pass only). `weights` is the
+    lazy draw: U[0], each b[l] and V as arrays, and the 2L - 1 n x n
+    matrices as `_LazyGaussian` operators with stores for the T B right
+    products of the forward pass and the at most T B S left ones of the
+    backward pass. H, masks and Delta hold the passes' results.
+    `empirical_suite` builds one per call and runs every net of every
+    trial through it in turn. No net reads an earlier net's values:
+    `draw` refills the arrays and resets the operators, H's step 0 stays
+    the zero state, and the passes write every other entry before they
+    read it.
     """
-    rng = np.random.default_rng(seed)
-    L = params.depth_L
-    U0 = rng.standard_normal((width, 1))
-    b = [rng.standard_normal(width) for _ in range(L)]
-    V = rng.standard_normal((T, width))
-    W = [_LazyGaussian(width, rng, rows) for _ in range(L)]
-    U = [U0] + [_LazyGaussian(width, rng, rows) for _ in range(L - 1)]
-    return RNNWeights(W=W, U=U, b=b, V=V)
+
+    def __init__(self, L: int, n: int, T: int, B: int, S: int):
+        rows = (T * B, T * B * S)
+        self.weights = RNNWeights(
+            W=[_LazyGaussian(n, rows) for _ in range(L)],
+            U=[np.empty((n, 1))] + [_LazyGaussian(n, rows) for _ in range(L - 1)],
+            b=[np.empty(n) for _ in range(L)],
+            V=np.empty((T, n)))
+        # step 0 is the zero state, which no pass writes
+        self.H = np.zeros((L, T + 1, n, B))
+        self.masks = np.empty((L, T, n, B), dtype=bool)
+        self.Delta = np.empty((L, T, n, B, S))
+
+    def draw(self, seed) -> RNNWeights:
+        """A fresh lazy draw from `seed`, in this working set's arrays.
+
+        U[0], each b[l] and V (O(n T) entries) are drawn up front, in that
+        order, from one generator; the lazy operators then draw from the
+        same generator as they are queried.
+        """
+        rng = np.random.default_rng(seed)
+        w = self.weights
+        for a in [w.U[0]] + w.b + [w.V]:
+            rng.standard_normal(out=a)
+        for op in w.W + w.U[1:]:
+            op.redraw(rng)
+        return w
 
 
-def _forward_cols(weights: RNNWeights, params: HyperParams, X):
+def _forward_cols(weights: RNNWeights, params: HyperParams, X, work=None):
     """Forward pass for a (T, B) batch of scalar sequences.
 
     Returns (H, masks, heads): H is (L, T+1, n, B) hidden states with
     H[:, 0] = 0, masks is (L, T, n, B) of relu'(g), and heads is (T, B).
+    H and masks are `work`'s arrays, by default a fresh working set's.
     """
     n = weights.width
     L = weights.depth_L
     T, B = X.shape
+    if work is None:
+        work = _WorkingSet(L, n, T, B, 0)
     sw = params.sigma_w / math.sqrt(n)
     su1 = params.sigma_u
     su = params.sigma_u / math.sqrt(n)
     sv = params.sigma_v / math.sqrt(n)
     sb = params.sigma_b
 
-    H = np.zeros((L, T + 1, n, B))
-    masks = np.empty((L, T, n, B), dtype=bool)
+    H, masks = work.H, work.masks
     heads = np.empty((T, B))
     for t in range(T):
         for layer in range(L):
+            # g is summed in its hidden state's slot and rectified there
+            g = H[layer, t + 1]
             if layer == 0:
-                g = su1 * (weights.U[0] @ X[t : t + 1, :])
+                np.multiply(weights.U[0] @ X[t : t + 1, :], su1, out=g)
             else:
-                g = su * (weights.U[layer] @ H[layer - 1, t + 1])
-            g += sw * (weights.W[layer] @ H[layer, t])
+                np.multiply(weights.U[layer] @ H[layer - 1, t + 1], su, out=g)
+            recurrent = weights.W[layer] @ H[layer, t]
+            recurrent *= sw
+            g += recurrent
             g += sb * weights.b[layer][:, None]
-            masks[layer, t] = g > 0
-            H[layer, t + 1] = np.maximum(g, 0.0)
+            np.greater(g, 0.0, out=masks[layer, t])
+            np.maximum(g, 0.0, out=g)
         heads[t] = sv * (weights.V[t] @ H[L - 1, t + 1])
     return H, masks, heads
 
 
-def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel):
+def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel, work=None):
     """Backprop through time for S readout selectors at once.
 
     Csel is (T, S); selector s defines the scalar output sum_t Csel[t, s]
     * heads[t]. Returns Delta with shape (L, T, n, B, S): the gradient of
     that output w.r.t. the pre-activation g[(layer, t)], per batch column.
+    Delta is `work`'s array, by default a fresh working set's.
     """
     n = weights.width
     L = weights.depth_L
     T = masks.shape[1]
     B = masks.shape[3]
     S = Csel.shape[1]
+    if work is None:
+        work = _WorkingSet(L, n, T, B, S)
     sw = params.sigma_w / math.sqrt(n)
     su = params.sigma_u / math.sqrt(n)
     sv = params.sigma_v / math.sqrt(n)
 
-    Delta = np.zeros((L, T, n, B, S))
+    Delta = work.Delta
     for t in range(T - 1, -1, -1):
         for layer in range(L - 1, -1, -1):
-            # accumulated in place: dh starts at zero, as Delta does
+            # accumulated in place from zero
             dh = Delta[layer, t]
+            dh.fill(0.0)
             if layer == L - 1:
                 # output heads read the top hidden state
                 dh += sv * weights.V[t][:, None, None] * Csel[t][None, None, :]
             if t + 1 < T:
-                nxt = Delta[layer, t + 1].reshape(n, B * S)
-                dh += (sw * (weights.W[layer].T @ nxt)).reshape(n, B, S)
+                later = weights.W[layer].T @ Delta[layer, t + 1].reshape(n, B * S)
+                later *= sw
+                dh += later.reshape(n, B, S)
             if layer + 1 < L:
-                above = Delta[layer + 1, t].reshape(n, B * S)
-                dh += (su * (weights.U[layer + 1].T @ above)).reshape(n, B, S)
+                above = weights.U[layer + 1].T @ Delta[layer + 1, t].reshape(n, B * S)
+                above *= su
+                dh += above.reshape(n, B, S)
             dh *= masks[layer, t][:, :, None]
     return Delta
 
@@ -326,24 +377,21 @@ def _directions(variant: Variant, per_direction):
     return forward + reverse if variant.bidirectional else forward
 
 
-def _run_net(params, width, seed, X, Csel, pairs):
+def _run_net(params, seed, X, Csel, pairs, work):
     """(heads, inner products) of a (T, B) batch X through one fresh lazy draw.
 
     `pairs` lists the (sel_a, sel_b) selector pairs whose gradient inner
     products `_inner_product` returns, in that order. The draw, H and
-    Delta are dropped on return, so a caller holds at most one net's
-    working set at a time.
+    Delta live in `work`, which the next net overwrites, so a caller
+    holds one net's working set however many nets it runs.
     """
-    T, B = X.shape
-    # each operator answers T B right products in the forward pass and
-    # at most T B S left ones in the backward pass
-    weights = _lazy_rnn(params, width, T, seed, (T * B, T * B * Csel.shape[1]))
-    H, masks, heads = _forward_cols(weights, params, X)
-    Delta = _backward_cols(weights, params, H, masks, Csel)
+    weights = work.draw(seed)
+    H, masks, heads = _forward_cols(weights, params, X, work)
+    Delta = _backward_cols(weights, params, H, masks, Csel, work)
     return heads, [_inner_product(params, Delta, H, X, a, b, Csel) for a, b in pairs]
 
 
-def _suite_trial(x2, params, width, seed_pair):
+def _suite_trial(x2, params, width, seed_pair, work=None):
     """Per-trial kernel values for every architecture, from shared draws.
 
     x2 is (T, 2) holding the input pair in default order. The
@@ -351,13 +399,16 @@ def _suite_trial(x2, params, width, seed_pair):
     independent draw run on the reversed inputs, which is exactly the
     bidirectional architecture (the two directions share nothing): its
     output adds the two nets' heads, and its gradients live in disjoint
-    blocks, so its inner product is the exact two-term sum.
+    blocks, so its inner product is the exact two-term sum. Both nets
+    run in `work`, by default a fresh working set.
     """
     T = x2.shape[0]
     Csel = _selectors(T)
+    if work is None:
+        work = _WorkingSet(params.depth_L, width, *x2.shape, Csel.shape[1])
     nets = []
     for seed, x in zip(seed_pair, (x2, x2[::-1].copy())):
-        heads, inners = _run_net(params, width, seed, x, Csel, [(0, 0), (1, 1)])
+        heads, inners = _run_net(params, seed, x, Csel, [(0, 0), (1, 1)], work)
         # indexed like the selectors: the last head, then the summed heads
         nets.append(((heads[T - 1], heads.sum(axis=0)), inners))
     trial = {}
@@ -401,8 +452,10 @@ def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int, se
     suite of flip(x), flip(x_prime).
     """
     x2 = _input_pair(x, x_prime)
-    rows = [_suite_trial(x2, params, width, child.spawn(2))
-            for child in _trial_seeds(seed, width, trials)]
+    seeds = _trial_seeds(seed, width, trials)
+    # every net of every trial runs the input pair through the two selectors
+    work = _WorkingSet(params.depth_L, width, *x2.shape, 2)
+    rows = [_suite_trial(x2, params, width, child.spawn(2), work) for child in seeds]
     return {key: _estimate(np.array([r[key] for r in rows]), width) for key in rows[0]}
 
 

@@ -5,12 +5,13 @@ summed heads. Criterion 02 and `tests/test_oracle.py` also need the
 statistics between readouts at two different time steps, which vanish
 at infinite width because distinct heads have independent output
 weights. This helper runs the same lazy draws through the oracle's own
-trial pieces. Head indices are used as given.
+trial pieces, every trial in one working set, as `empirical_suite` does.
+Head indices are used as given.
 """
 
 import numpy as np
 
-from rntk.oracle import _estimate, _input_pair, _run_net, _trial_seeds
+from rntk.oracle import _estimate, _input_pair, _run_net, _trial_seeds, _WorkingSet
 
 
 def empirical_cross_head(x, x_prime, params, *, width, trials, seed=0, head_a, head_b):
@@ -22,9 +23,10 @@ def empirical_cross_head(x, x_prime, params, *, width, trials, seed=0, head_a, h
     Csel = np.zeros((T, 2))
     Csel[head_a, 0] = 1.0
     Csel[head_b, 1] = 1.0
+    work = _WorkingSet(params.depth_L, width, *x2.shape, Csel.shape[1])
     prods = np.empty(trials)
     inners = np.empty(trials)
     for i, child in enumerate(seeds):
-        heads, (inners[i],) = _run_net(params, width, child, x2, Csel, [(0, 1)])
+        heads, (inners[i],) = _run_net(params, child, x2, Csel, [(0, 1)], work)
         prods[i] = heads[head_a, 0] * heads[head_b, 1]
     return _estimate(prods, width), _estimate(inners, width)

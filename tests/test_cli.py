@@ -84,7 +84,10 @@ def test_usage_errors_exit_two(tmp_path):
     gram_args = ["gram", "--data", "d.csv", "--out", "g"]
     for argv in (gram_args + ["--variant", "mlp"], gram_args + ["--tile-pairs", "4"],
                  gram_args + ["--L", "0"], ["verify", "--trials", "1"],
-                 ["verify", "--L-list", "0"], ["verify", "--L-list", "a"], []):
+                 ["verify", "--L-list", "0"], ["verify", "--L-list", "a"], [],
+                 ["verify", "--sigma-u", "0"], ["verify", "--sigma-u", "nan"],
+                 ["verify", "--sigma-b", "inf"], ["verify", "--sigma-b", "-0.1"],
+                 gram_args + ["--sigma-v", "0"], gram_args + ["--sigma-w", "x"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -13,10 +13,10 @@ from rntk.oracle import (
     RNNWeights,
     _backward_cols,
     _forward_cols,
-    _lazy_rnn,
     _LazyGaussian,
     _selectors,
     _suite_trial,
+    _WorkingSet,
     analytic_suite,
     empirical_suite,
     sample_rnn,
@@ -296,10 +296,10 @@ def _completed(weights, rng):
 
 def _lazy_run(params, width, seed, X, Csel):
     """A lazy draw queried as one estimator trial queries it."""
-    (T, B), S = X.shape, Csel.shape[1]
-    lazy = _lazy_rnn(params, width, T, seed, (T * B, T * B * S))
-    H, masks, heads = _forward_cols(lazy, params, X)
-    Delta = _backward_cols(lazy, params, H, masks, Csel)
+    work = _WorkingSet(params.depth_L, width, *X.shape, Csel.shape[1])
+    lazy = work.draw(seed)
+    H, masks, heads = _forward_cols(lazy, params, X, work)
+    Delta = _backward_cols(lazy, params, H, masks, Csel, work)
     return lazy, (H, masks, heads, Delta)
 
 
@@ -331,7 +331,8 @@ def test_lazy_draw_completes_to_iid_standard_normals():
     v0 = np.array([[1.0], [-0.5], [0.25]])
     for i, ss in enumerate(np.random.SeedSequence(2024).spawn(draws)):
         rng = np.random.default_rng(ss)
-        op = _LazyGaussian(3, rng, (3, 3))
+        op = _LazyGaussian(3, (3, 3))
+        op.redraw(rng)
         a = op @ v0
         b = op.T @ (np.maximum(a, 0.0) + 0.1)
         c = op @ np.column_stack([b[:, 0], v0[:, 0]])
@@ -421,7 +422,7 @@ def test_cross_head_same_head_recovers_kernel():
 
 def test_cross_head_holds_one_draw_at_a_time():
     # a lazy draw holds O(width * queries) entries, far below a dense
-    # draw's width^2, and the previous trial's draw is gone before the next
+    # draw's width^2, and every trial draws into the same arrays
     params = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=2)
     x = np.array([0.8, -0.6, 0.3, 0.5, -0.2])
     xp = np.array([0.1, 0.9, -0.7, 0.4, 0.6])
@@ -459,6 +460,46 @@ def test_suite_trial_holds_one_draws_working_set(width):
     finally:
         tracemalloc.stop()
     assert peak <= stores + net + slack, (peak, stores, net)
+
+
+@pytest.mark.parametrize("width", [7, 30])
+def test_one_working_set_serves_every_draw_of_an_estimate(width, monkeypatch):
+    # at width 7 the operators' stores are capped below the query budget
+    params = HyperParams(sigma_u=0.5, sigma_b=0.1, depth_L=2)
+    x = np.array([0.8, -0.6, 0.3])
+    xp = np.array([0.1, 0.9, -0.7])
+    built, seen = [], []
+    build, backward = oracle._WorkingSet, oracle._backward_cols
+
+    def spied_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def spied_backward(weights, params, H, masks, Csel, work):
+        Delta = backward(weights, params, H, masks, Csel, work)
+        stores = [a for op in weights.W + weights.U[1:] for a in op._dirs + op._images]
+        seen.append([H, masks, Delta, weights.U[0], weights.V] + weights.b + stores)
+        return Delta
+
+    monkeypatch.setattr(oracle, "_WorkingSet", spied_build)
+    monkeypatch.setattr(oracle, "_backward_cols", spied_backward)
+    for trials in (2, 5):
+        built.clear()
+        seen.clear()
+        suite = empirical_suite(x, xp, params, width=width, trials=trials, seed=9)
+        # built once; every net of every trial draws into the same arrays
+        assert len(built) == 1 and len(seen) == 2 * trials
+        assert all(a is b for arrays in seen for a, b in zip(arrays, seen[0]))
+    monkeypatch.undo()
+    # the same bits as trials run one at a time, each in a fresh working set
+    x2 = np.stack([x, xp], axis=1)
+    rows = [_suite_trial(x2, params, width, child.spawn(2))
+            for child in np.random.SeedSequence(9).spawn(5)]
+    for key, est in suite.items():
+        assert est == oracle._estimate(np.array([r[key] for r in rows]), width), key
+    # and as the same call right after one of another depth, length and width
+    empirical_suite(x[:2], xp[:2], HyperParams(depth_L=3), width=width + 3, trials=3)
+    assert empirical_suite(x, xp, params, width=width, trials=5, seed=9) == suite
 
 
 @pytest.mark.parametrize("T", [1, 2, 5])
