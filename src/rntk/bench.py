@@ -144,13 +144,14 @@ class HyperGrid:
             bad = [v for v, c in zip(values, converted) if c is None or not valid(c)]
             if bad:
                 raise ValueError(f"HyperGrid.{name} values must be {what}, got {bad}")
+            # a repeated value would make one configuration vote twice
+            if len(set(converted)) < len(converted):
+                raise ValueError(f"HyperGrid.{name} must hold each value once, got {values}")
             object.__setattr__(self, name, converted)
         sigma_w = _as_real(self.sigma_w)
         if sigma_w is None or sigma_w <= 0:
             raise ValueError(f"HyperGrid.sigma_w must be finite and > 0, got {self.sigma_w!r}")
         object.__setattr__(self, "sigma_w", sigma_w)
-        if len(set(self.methods)) < len(self.methods):
-            raise ValueError(f"HyperGrid.methods must name each method once, got {self.methods}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,13 @@ class Splits:
     n_points: int
 
     def __post_init__(self):
-        N = self.n_points
+        N = _integer(self.n_points, "Splits.n_points")
         val = self.validation_half
+        named = [("validation_half", val)] + [(f"folds[{k}]", f) for k, f in enumerate(self.folds)]
+        for name, idx in named:
+            if not (isinstance(idx, np.ndarray) and np.issubdtype(idx.dtype, np.integer)):
+                raise ValueError(f"Splits.{name} must be an integer numpy index array, "
+                                 f"got {getattr(idx, 'dtype', type(idx).__name__)}")
         if val.size == 0 or val.size >= N or len(np.unique(val)) != val.size:
             raise ValueError("validation half must be a proper nonempty index subset")
         if val.min() < 0 or val.max() >= N:

@@ -48,7 +48,8 @@ class RNNWeights:
     `sample_rnn` fills every entry with dense arrays. Inside the Monte
     Carlo estimator W[l] and U[l>=1] are `_LazyGaussian` operators
     instead. The recursion uses only `@` and `.T @`, which both kinds
-    support, so `_forward_cols` and `_backward_cols` run on either.
+    support, so `_forward_cols` and `_backward_cols` run on either kind
+    held as a `_WorkingSet`'s `weights`.
     """
 
     W: list
@@ -202,12 +203,12 @@ class _WorkingSet:
     """Every width-sized array one net writes, allocated once and reused.
 
     A net is one draw run forward on a (T, B) batch and backward for S
-    readout selectors (S = 0 sizes a forward pass only). `weights` is the
-    lazy draw: U[0], each b[l] and V as arrays, and the 2L - 1 n x n
-    matrices as `_LazyGaussian` operators with stores for the T B right
-    products of the forward pass and the at most T B S left ones of the
-    backward pass. H, masks and Delta hold the passes' results.
-    `empirical_suite` builds one per call and runs every net of every
+    readout selectors. `weights` is the lazy draw: U[0], each b[l] and V
+    as arrays, and the 2L - 1 n x n matrices as `_LazyGaussian` operators
+    with stores for the T B right products of the forward pass and the at
+    most T B S left ones of the backward pass. H, masks and Delta hold
+    the passes' results, and their shapes give the passes L, T, n, B and
+    S. `empirical_suite` builds one per call and runs every net of every
     trial through it in turn. No net reads an earlier net's values:
     `draw` refills the arrays and resets the operators, H's step 0 stays
     the zero state, and the passes write every other entry before they
@@ -226,7 +227,7 @@ class _WorkingSet:
         self.masks = np.empty((L, T, n, B), dtype=bool)
         self.Delta = np.empty((L, T, n, B, S))
 
-    def draw(self, seed) -> RNNWeights:
+    def draw(self, seed):
         """A fresh lazy draw from `seed`, in this working set's arrays.
 
         U[0], each b[l] and V (O(n T) entries) are drawn up front, in that
@@ -239,28 +240,23 @@ class _WorkingSet:
             rng.standard_normal(out=a)
         for op in w.W + w.U[1:]:
             op.redraw(rng)
-        return w
 
 
-def _forward_cols(weights: RNNWeights, params: HyperParams, X, work=None):
-    """Forward pass for a (T, B) batch of scalar sequences.
+def _forward_cols(params: HyperParams, X, work: _WorkingSet):
+    """Forward pass of `work.weights` for a (T, B) batch of scalar sequences.
 
-    Returns (H, masks, heads): H is (L, T+1, n, B) hidden states with
-    H[:, 0] = 0, masks is (L, T, n, B) of relu'(g), and heads is (T, B).
-    H and masks are `work`'s arrays, by default a fresh working set's.
+    Writes the hidden states into work.H (L, T+1, n, B), whose step 0 is
+    the zero state, and relu'(g) into work.masks (L, T, n, B). Returns
+    the (T, B) heads.
     """
-    n = weights.width
-    L = weights.depth_L
-    T, B = X.shape
-    if work is None:
-        work = _WorkingSet(L, n, T, B, 0)
+    weights, H, masks = work.weights, work.H, work.masks
+    L, T, n, B = masks.shape
     sw = params.sigma_w / math.sqrt(n)
     su1 = params.sigma_u
     su = params.sigma_u / math.sqrt(n)
     sv = params.sigma_v / math.sqrt(n)
     sb = params.sigma_b
 
-    H, masks = work.H, work.masks
     heads = np.empty((T, B))
     for t in range(T):
         for layer in range(L):
@@ -277,29 +273,23 @@ def _forward_cols(weights: RNNWeights, params: HyperParams, X, work=None):
             np.greater(g, 0.0, out=masks[layer, t])
             np.maximum(g, 0.0, out=g)
         heads[t] = sv * (weights.V[t] @ H[L - 1, t + 1])
-    return H, masks, heads
+    return heads
 
 
-def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel, work=None):
-    """Backprop through time for S readout selectors at once.
+def _backward_cols(params: HyperParams, Csel, work: _WorkingSet):
+    """Backprop through time of `work.weights` for S readout selectors at once.
 
     Csel is (T, S); selector s defines the scalar output sum_t Csel[t, s]
-    * heads[t]. Returns Delta with shape (L, T, n, B, S): the gradient of
-    that output w.r.t. the pre-activation g[(layer, t)], per batch column.
-    Delta is `work`'s array, by default a fresh working set's.
+    * heads[t]. Writes into work.Delta (L, T, n, B, S) the gradient of
+    that output w.r.t. the pre-activation g[(layer, t)], per batch column,
+    from the forward pass's work.masks.
     """
-    n = weights.width
-    L = weights.depth_L
-    T = masks.shape[1]
-    B = masks.shape[3]
-    S = Csel.shape[1]
-    if work is None:
-        work = _WorkingSet(L, n, T, B, S)
+    weights, masks, Delta = work.weights, work.masks, work.Delta
+    L, T, n, B, S = Delta.shape
     sw = params.sigma_w / math.sqrt(n)
     su = params.sigma_u / math.sqrt(n)
     sv = params.sigma_v / math.sqrt(n)
 
-    Delta = work.Delta
     for t in range(T - 1, -1, -1):
         for layer in range(L - 1, -1, -1):
             # accumulated in place from zero
@@ -317,20 +307,20 @@ def _backward_cols(weights: RNNWeights, params: HyperParams, H, masks, Csel, wor
                 above *= su
                 dh += above.reshape(n, B, S)
             dh *= masks[layer, t][:, :, None]
-    return Delta
 
 
-def _inner_product(params: HyperParams, Delta, H, X, sel_a: int, sel_b: int,
-                   Csel) -> float:
-    """<grad f_a, grad f_b> assembled from per-layer Gram matrices.
+def _inner_products(params: HyperParams, X, Csel, pairs, work: _WorkingSet) -> list:
+    """[<grad f_a, grad f_b> for (sel_a, sel_b) in pairs], from work.H and work.Delta.
 
     f_a is the readout Csel[:, sel_a] of batch column 0, f_b the readout
     Csel[:, sel_b] of batch column 1. Never forms the flat gradient: each
     parameter block contributes
     sum_{t,s} (delta_t . delta'_s) * (h_t . h'_s) with the appropriate
     sigma^2 / width scale, and the output block is diagonal in t because
-    heads use independent weights.
+    heads use independent weights. The hidden-state Grams and the head
+    covariances are formed once for all pairs.
     """
+    H, Delta = work.H, work.Delta
     L, _, n, _ = H.shape
     T = X.shape[0]
     su2 = params.sigma_u**2
@@ -338,23 +328,24 @@ def _inner_product(params: HyperParams, Delta, H, X, sel_a: int, sel_b: int,
     sb2 = params.sigma_b**2
     sv2 = params.sigma_v**2
 
-    total = 0.0
+    totals = [0.0] * len(pairs)
     for layer in range(L):
-        Da = Delta[layer, :, :, 0, sel_a]
-        Db = Delta[layer, :, :, 1, sel_b]
-        Md = Da @ Db.T
         # recurrent block: pairs h^{(layer, t-1)}, row 0 of H is the zero state
         Mh = H[layer, :T, :, 0] @ H[layer, :T, :, 1].T
-        total += (sw2 / n) * float((Md * Mh).sum())
-        if layer == 0:
-            total += su2 * float(X[:, 0] @ Md @ X[:, 1])
-        else:
+        if layer > 0:
             Mlow = H[layer - 1, 1:, :, 0] @ H[layer - 1, 1:, :, 1].T
-            total += (su2 / n) * float((Md * Mlow).sum())
-        total += sb2 * float(Md.sum())
+        for i, (sel_a, sel_b) in enumerate(pairs):
+            Md = Delta[layer, :, :, 0, sel_a] @ Delta[layer, :, :, 1, sel_b].T
+            totals[i] += (sw2 / n) * float((Md * Mh).sum())
+            if layer == 0:
+                totals[i] += su2 * float(X[:, 0] @ Md @ X[:, 1])
+            else:
+                totals[i] += (su2 / n) * float((Md * Mlow).sum())
+            totals[i] += sb2 * float(Md.sum())
     head_cov = (H[L - 1, 1:, :, 0] * H[L - 1, 1:, :, 1]).sum(axis=1)
-    total += (sv2 / n) * float((Csel[:, sel_a] * Csel[:, sel_b] * head_cov).sum())
-    return total
+    for i, (sel_a, sel_b) in enumerate(pairs):
+        totals[i] += (sv2 / n) * float((Csel[:, sel_a] * Csel[:, sel_b] * head_cov).sum())
+    return totals
 
 
 def _selectors(T: int) -> np.ndarray:
@@ -381,17 +372,17 @@ def _run_net(params, seed, X, Csel, pairs, work):
     """(heads, inner products) of a (T, B) batch X through one fresh lazy draw.
 
     `pairs` lists the (sel_a, sel_b) selector pairs whose gradient inner
-    products `_inner_product` returns, in that order. The draw, H and
+    products `_inner_products` returns, in that order. The draw, H and
     Delta live in `work`, which the next net overwrites, so a caller
     holds one net's working set however many nets it runs.
     """
-    weights = work.draw(seed)
-    H, masks, heads = _forward_cols(weights, params, X, work)
-    Delta = _backward_cols(weights, params, H, masks, Csel, work)
-    return heads, [_inner_product(params, Delta, H, X, a, b, Csel) for a, b in pairs]
+    work.draw(seed)
+    heads = _forward_cols(params, X, work)
+    _backward_cols(params, Csel, work)
+    return heads, _inner_products(params, X, Csel, pairs, work)
 
 
-def _suite_trial(x2, params, width, seed_pair, work=None):
+def _suite_trial(x2, params, seed_pair, work):
     """Per-trial kernel values for every architecture, from shared draws.
 
     x2 is (T, 2) holding the input pair in default order. The
@@ -400,12 +391,10 @@ def _suite_trial(x2, params, width, seed_pair, work=None):
     bidirectional architecture (the two directions share nothing): its
     output adds the two nets' heads, and its gradients live in disjoint
     blocks, so its inner product is the exact two-term sum. Both nets
-    run in `work`, by default a fresh working set.
+    run in `work`, one after the other.
     """
     T = x2.shape[0]
     Csel = _selectors(T)
-    if work is None:
-        work = _WorkingSet(params.depth_L, width, *x2.shape, Csel.shape[1])
     nets = []
     for seed, x in zip(seed_pair, (x2, x2[::-1].copy())):
         heads, inners = _run_net(params, seed, x, Csel, [(0, 0), (1, 1)], work)
@@ -455,7 +444,7 @@ def empirical_suite(x, x_prime, params: HyperParams, width: int, trials: int, se
     seeds = _trial_seeds(seed, width, trials)
     # every net of every trial runs the input pair through the two selectors
     work = _WorkingSet(params.depth_L, width, *x2.shape, 2)
-    rows = [_suite_trial(x2, params, width, child.spawn(2), work) for child in seeds]
+    rows = [_suite_trial(x2, params, child.spawn(2), work) for child in seeds]
     return {key: _estimate(np.array([r[key] for r in rows]), width) for key in rows[0]}
 
 

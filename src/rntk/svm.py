@@ -130,7 +130,7 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
         m, M = F_up.item(i), F_low.item(j)
         if m - M <= tol:
             alpha = np.array(alpha)
-            return alpha, _bias(F, y, alpha, C, m, M), it, True
+            return alpha, _bias(F, alpha, C, m, M), it, True
 
         # y_i y_j Q_ij = K_ij and Q_ii = K_ii exactly, since y = +/-1
         quad = diag[i] + diag[j] - 2.0 * K.item(i, j)
@@ -185,7 +185,7 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
     return np.array(alpha), 0.0, max_iter, False
 
 
-def _bias(F, y, alpha, C, m, M):
+def _bias(F, alpha, C, m, M):
     free = (alpha > 0.0) & (alpha < C)
     if free.any():
         return float(F[free].mean())

@@ -1,8 +1,9 @@
 """Readouts and BPTT gradients of dense RNN draws, for tests.
 
 The estimators run `_forward_cols` and `_backward_cols` on lazy draws.
-Here the same two functions run on dense `RNNWeights` (numpy arrays
-answer `@` and `.T @` as the lazy operators do), so a test can perturb
+Here `dense_pass` runs the same two functions on dense `RNNWeights`
+(numpy arrays answer `@` and `.T @` as the lazy operators do), held as
+the `weights` of a working set of their own, so a test can perturb
 single weights and compare central differences of `readout` with
 `flat_gradient`.
 
@@ -17,7 +18,19 @@ import math
 import numpy as np
 
 from rntk import InputOrder, flip
-from rntk.oracle import _backward_cols, _forward_cols, _selectors
+from rntk.oracle import _backward_cols, _forward_cols, _selectors, _WorkingSet
+
+
+def dense_pass(net, params, X, Csel=None):
+    """(working set, heads) of the dense draw `net` run forward on the
+    (T, B) batch X and, given (T, S) selectors Csel, backward."""
+    S = 0 if Csel is None else Csel.shape[1]
+    work = _WorkingSet(net.depth_L, net.width, *X.shape, S)
+    work.weights = net
+    heads = _forward_cols(params, X, work)
+    if Csel is not None:
+        _backward_cols(params, Csel, work)
+    return work, heads
 
 
 def _fed(nets, x, variant):
@@ -34,7 +47,7 @@ def readout(nets, params, x, variant) -> float:
     """The variant's output on one input: a bidirectional one sums two nets."""
     total = 0.0
     for net, seq in _fed(nets, x, variant):
-        _, _, heads = _forward_cols(net, params, seq[:, None])
+        heads = dense_pass(net, params, seq[:, None])[1]
         total += float(heads[:, 0].sum()) if variant.pooled else float(heads[-1, 0])
     return total
 
@@ -45,9 +58,9 @@ def gradient_blocks(net, params, x_fed, pooled: bool):
     L = net.depth_L
     T = x_fed.shape[0]
     X = x_fed[:, None]
-    H, masks, _ = _forward_cols(net, params, X)
     Csel = _selectors(T)[:, 1:2] if pooled else _selectors(T)[:, 0:1]
-    D = _backward_cols(net, params, H, masks, Csel)[:, :, :, 0, 0]  # (L, T, n)
+    work = dense_pass(net, params, X, Csel)[0]
+    H, D = work.H, work.Delta[:, :, :, 0, 0]  # D is (L, T, n)
 
     sw = params.sigma_w / math.sqrt(n)
     su = params.sigma_u / math.sqrt(n)

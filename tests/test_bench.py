@@ -170,6 +170,17 @@ def test_splits_validation():
     overlapping = (np.arange(3), np.arange(3), np.arange(3, 8), np.arange(8, 12))
     with pytest.raises(ValueError):
         Splits(validation_half=np.arange(6), folds=overlapping, n_points=12)
+    # float indices passed every check, and run_protocol died in numpy indexing
+    with pytest.raises(ValueError, match=r"Splits.validation_half must be an integer"):
+        Splits(validation_half=np.arange(6.0), folds=f, n_points=12)
+    floats = f[:3] + (f[3].astype(float),)
+    with pytest.raises(ValueError, match=r"Splits.folds\[3\] must be an integer"):
+        Splits(validation_half=np.arange(6), folds=floats, n_points=12)
+    # a list died as an AttributeError, a float count in training_half
+    with pytest.raises(ValueError, match=r"Splits.validation_half must be an integer"):
+        Splits(validation_half=list(range(6)), folds=f, n_points=12)
+    with pytest.raises(ValueError, match=r"Splits.n_points must be an integer"):
+        Splits(validation_half=np.arange(6), folds=f, n_points=12.0)
 
 
 def test_load_splits_round_trip(tmp_path):
@@ -266,12 +277,14 @@ def test_grid_rejects_empty_search_sets():
 
 
 def test_grid_rejects_bad_values():
-    bad = {"sigma_u_set": [(0.0,), (-0.5,), (float("inf"),), ("0.5",)],
-           "sigma_b_set": [(-0.1,), (float("nan"),)],
-           "L_set": [(0,), (1.5,), (2.0,), (True,)],
-           "C_set": [(0.0,), (-1.0,), (float("inf"),), (float("nan"),), (True,)],
-           "rbf_gamma_scaled": [(-1.0,), (0.0,), (float("nan"),)],
-           "poly_degrees": [(1.5,), (0,), (-2,), (False,)],
+    # a repeated value made its configurations vote twice; 1 and 1.0 are one value
+    bad = {"sigma_u_set": [(0.0,), (-0.5,), (float("inf"),), ("0.5",), (0.5, 0.25, 0.5),
+                           (np.float32(0.5), 0.5)],
+           "sigma_b_set": [(-0.1,), (float("nan"),), (0.1, 0.1)],
+           "L_set": [(0,), (1.5,), (2.0,), (True,), (1, 2, np.int64(1))],
+           "C_set": [(0.0,), (-1.0,), (float("inf"),), (float("nan"),), (True,), (1, 1.0)],
+           "rbf_gamma_scaled": [(-1.0,), (0.0,), (float("nan"),), (1.0, 1.0)],
+           "poly_degrees": [(1.5,), (0,), (-2,), (False,), (2, 2)],
            "methods": [("rbf", "bogus"), ("rbf", "rbf")],
            "sigma_w": [0.0, -1.0, float("nan"), float("inf"), True]}
     for name, values in bad.items():

@@ -22,7 +22,8 @@ from rntk.oracle import (
     sample_rnn,
 )
 from cross_head import empirical_cross_head
-from dense_bptt import central_difference, flat_gradient, gradient_blocks, n_weights, readout
+from dense_bptt import (central_difference, dense_pass, flat_gradient, gradient_blocks,
+                        n_weights, readout)
 from lazy_completion import complete
 from suite_reference import analytic_table, suite_trial_table
 
@@ -76,22 +77,23 @@ def test_sample_rejects_bad_sizes():
 def test_forward_zero_input_zero_bias():
     params = HyperParams(sigma_u=0.5, sigma_b=0.0, depth_L=2)
     w = sample_rnn(params, width=6, T=4, seed=1)
-    H, masks, heads = _forward_cols(w, params, np.zeros((4, 1)))
-    assert np.all(H == 0.0) and not masks.any() and np.all(heads == 0.0)
+    work, heads = dense_pass(w, params, np.zeros((4, 1)))
+    assert np.all(work.H == 0.0) and not work.masks.any() and np.all(heads == 0.0)
 
 
 def test_forward_initial_state_is_zero():
     w = sample_rnn(HP, width=6, T=3, seed=2)
     X = np.array([[0.3, 1.2], [-1.1, 0.4], [0.7, -0.9]])
-    H, masks, heads = _forward_cols(w, HP, X)
-    assert np.all(H[:, 0] == 0.0)
-    assert H.shape == (2, 4, 6, 2) and masks.shape == (2, 3, 6, 2)
+    work, heads = dense_pass(w, HP, X)
+    assert np.all(work.H[:, 0] == 0.0)
+    assert work.H.shape == (2, 4, 6, 2) and work.masks.shape == (2, 3, 6, 2)
     assert heads.shape == (3, 2)
 
 
 def test_forward_hand_unrolled_single_step():
     w = sample_rnn(HP1, width=3, T=1, seed=7)
-    H, masks, heads = _forward_cols(w, HP1, np.array([[0.8]]))
+    work, heads = dense_pass(w, HP1, np.array([[0.8]]))
+    H, masks = work.H, work.masks
     g = 0.5 * w.U[0][:, 0] * 0.8 + 0.1 * w.b[0]
     h = np.maximum(g, 0.0)
     f = (1.0 / math.sqrt(3)) * (w.V[0] @ h)
@@ -113,7 +115,8 @@ def test_forward_hand_unrolled_two_steps_two_layers():
     g22 = sw * (w.W[1] @ h2) + (su / 2.0) * (w.U[1] @ h12) + sb * w.b[1]
     h22 = np.maximum(g22, 0.0)
     want = np.array([sv * (w.V[0] @ h2), sv * (w.V[1] @ h22)])
-    H, masks, heads = _forward_cols(w, HP, x[:, None])
+    work, heads = dense_pass(w, HP, x[:, None])
+    H, masks = work.H, work.masks
     assert np.allclose(H[0, 1, :, 0], h1, atol=1e-15)
     assert np.allclose(H[1, 2, :, 0], h22, atol=1e-15)
     assert np.array_equal(masks[0, 0, :, 0], g11 > 0)
@@ -227,6 +230,11 @@ def test_suite_is_the_only_estimate_route():
         assert not hasattr(rntk, name), name
         assert not hasattr(rntk.oracle, name), name
     assert "keep_g" not in inspect.signature(_forward_cols).parameters
+    # the passes run only in a working set their caller built
+    assert not hasattr(rntk.oracle, "_inner_product")
+    for fn in (_forward_cols, _backward_cols, rntk.oracle._inner_products, _suite_trial):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), fn.__name__
     x = np.array([0.6, -0.3])
     with pytest.raises(TypeError):
         empirical_suite(x, x, HP, width=10, trials=2, need_bi=False)
@@ -295,12 +303,12 @@ def _completed(weights, rng):
 
 
 def _lazy_run(params, width, seed, X, Csel):
-    """A lazy draw queried as one estimator trial queries it."""
+    """(working set, heads) of a lazy draw queried as one estimator trial queries it."""
     work = _WorkingSet(params.depth_L, width, *X.shape, Csel.shape[1])
-    lazy = work.draw(seed)
-    H, masks, heads = _forward_cols(lazy, params, X, work)
-    Delta = _backward_cols(lazy, params, H, masks, Csel, work)
-    return lazy, (H, masks, heads, Delta)
+    work.draw(seed)
+    heads = _forward_cols(params, X, work)
+    _backward_cols(params, Csel, work)
+    return work, heads
 
 
 @pytest.mark.parametrize("width", [7, 40])
@@ -314,12 +322,10 @@ def test_lazy_draw_matches_its_dense_completion(L, T, width):
     x, xp = rng.standard_normal(T), rng.standard_normal(T)
     Csel = _selectors(T)
     for X in (np.stack([x, xp], axis=1), np.stack([x, x], axis=1)):
-        lazy, (H, masks, heads, Delta) = _lazy_run(params, width, (L, T, width), X, Csel)
-        dense = _completed(lazy, rng)
-        H2, masks2, heads2 = _forward_cols(dense, params, X)
-        Delta2 = _backward_cols(dense, params, H2, masks2, Csel)
-        assert np.array_equal(masks, masks2)
-        for got, want in ((H, H2), (heads, heads2), (Delta, Delta2)):
+        lazy, heads = _lazy_run(params, width, (L, T, width), X, Csel)
+        dense, heads2 = dense_pass(_completed(lazy.weights, rng), params, X, Csel)
+        assert np.array_equal(lazy.masks, dense.masks)
+        for got, want in ((lazy.H, dense.H), (heads, heads2), (lazy.Delta, dense.Delta)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -361,7 +367,7 @@ def test_suite_crosscheck_structured_inner_vs_flat_gradients():
     for child in root.spawn(2):
         pair = child.spawn(2)
         # same seeds and queries as the suite trial, hence the same answers
-        w1, w2 = (_completed(_lazy_run(params, 12, ss, X, _selectors(4))[0], fill)
+        w1, w2 = (_completed(_lazy_run(params, 12, ss, X, _selectors(4))[0].weights, fill)
                   for ss, X in zip(pair, (x2, x2[::-1].copy())))
         for arch in totals:
             variant = Variant(arch)
@@ -475,11 +481,11 @@ def test_one_working_set_serves_every_draw_of_an_estimate(width, monkeypatch):
         built.append(build(*args))
         return built[-1]
 
-    def spied_backward(weights, params, H, masks, Csel, work):
-        Delta = backward(weights, params, H, masks, Csel, work)
-        stores = [a for op in weights.W + weights.U[1:] for a in op._dirs + op._images]
-        seen.append([H, masks, Delta, weights.U[0], weights.V] + weights.b + stores)
-        return Delta
+    def spied_backward(params, Csel, work):
+        backward(params, Csel, work)
+        w = work.weights
+        stores = [a for op in w.W + w.U[1:] for a in op._dirs + op._images]
+        seen.append([work.H, work.masks, work.Delta, w.U[0], w.V] + w.b + stores)
 
     monkeypatch.setattr(oracle, "_WorkingSet", spied_build)
     monkeypatch.setattr(oracle, "_backward_cols", spied_backward)
@@ -493,7 +499,7 @@ def test_one_working_set_serves_every_draw_of_an_estimate(width, monkeypatch):
     monkeypatch.undo()
     # the same bits as trials run one at a time, each in a fresh working set
     x2 = np.stack([x, xp], axis=1)
-    rows = [_suite_trial(x2, params, width, child.spawn(2))
+    rows = [_suite_trial(x2, params, child.spawn(2), _WorkingSet(2, width, *x2.shape, 2))
             for child in np.random.SeedSequence(9).spawn(5)]
     for key, est in suite.items():
         assert est == oracle._estimate(np.array([r[key] for r in rows]), width), key
@@ -515,8 +521,8 @@ def test_suites_match_their_written_out_tables(L, T, monkeypatch):
         return nets[-1]
 
     monkeypatch.setattr(oracle, "_run_net", recorded)
-    trial = _suite_trial(np.stack([x, xp], axis=1), params, 7,
-                         np.random.SeedSequence(151).spawn(2))
+    trial = _suite_trial(np.stack([x, xp], axis=1), params,
+                         np.random.SeedSequence(151).spawn(2), _WorkingSet(L, 7, T, 2, 2))
     assert len(nets) == 2
     assert trial == suite_trial_table(*nets)
     assert list(analytic_suite(x, xp, params).items()) == list(
@@ -543,8 +549,8 @@ def test_suite_shares_forward_draws():
     # second the reversed one; only the bidirectional values read both
     x2 = np.array([[0.5, 0.3], [-0.5, 0.7]])
     first, second, other = np.random.SeedSequence(121).spawn(3)
-    a = _suite_trial(x2, HP1, 40, (first, second))
-    b = _suite_trial(x2, HP1, 40, (first, other))
+    a = _suite_trial(x2, HP1, (first, second), _WorkingSet(1, 40, 2, 2, 2))
+    b = _suite_trial(x2, HP1, (first, other), _WorkingSet(1, 40, 2, 2, 2))
     assert list(a) == list(b) and len(a) == 8
     for (arch, kind), value in a.items():
         if arch in (Arch.RNN, Arch.RNN_AVG):
