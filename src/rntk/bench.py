@@ -123,7 +123,8 @@ class HyperGrid:
     sigma_v is never part of the grid: it is derived from the variant by
     sigma_v_for. rbf_gamma_scaled values are divided by T at evaluation
     time, and poly kernels use (x.x'/T + 1)^degree. Each search set is
-    stored as a tuple of Python numbers, numpy scalars converted.
+    stored as a tuple of Python numbers, numpy scalars converted; a set is
+    given as a tuple, list or 1-D array, never as a scalar or a string.
     """
 
     sigma_u_set: tuple = (0.25, 0.5)
@@ -138,6 +139,10 @@ class HyperGrid:
     def __post_init__(self):
         for name, convert, valid, what in _GRID_SETS:
             values = getattr(self, name)
+            if not (isinstance(values, (tuple, list))
+                    or (isinstance(values, np.ndarray) and values.ndim == 1)):
+                raise ValueError(f"HyperGrid.{name} must be a tuple, list or 1-D array "
+                                 f"of values, got {values!r}")
             if len(values) == 0:
                 raise ValueError(f"HyperGrid.{name} must not be empty")
             converted = tuple(convert(v) for v in values)
@@ -232,7 +237,10 @@ def load_splits(path, n_points: int) -> Splits:
 def load_dataset(path) -> Dataset:
     """Parse a headerless CSV: feature columns then one integer label column."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
@@ -344,15 +352,22 @@ def _family_matrices(specs, train_X, test_X, threads):
     A baseline family is one spec with the one selector None. An RNN
     family's matrices come from one train-by-train and one test-by-train
     call, bit for bit what `gram`/`gram_cross` return for each spec alone.
+    The train Grams are read-only, so that each C path of
+    `train_multiclass` checks its Gram once.
     """
     if not isinstance(specs[0], RNNKernelSpec):
         (spec,) = specs
-        return {spec: {None: (spec.kernel(train_X, train_X), spec.kernel(test_X, train_X))}}
-    members = [(spec.params, spec.variant) for spec in specs]
-    fulls = gram_family(train_X, members, threads=threads)
-    crosses = gram_cross_family(train_X, test_X, members, threads=threads)
-    return {spec: {SELECTOR_CK: (full.ck, cross.ck), SELECTOR_NTK: (full.ntk, cross.ntk)}
-            for spec, full, cross in zip(specs, fulls, crosses)}
+        out = {spec: {None: (spec.kernel(train_X, train_X), spec.kernel(test_X, train_X))}}
+    else:
+        members = [(spec.params, spec.variant) for spec in specs]
+        fulls = gram_family(train_X, members, threads=threads)
+        crosses = gram_cross_family(train_X, test_X, members, threads=threads)
+        out = {spec: {SELECTOR_CK: (full.ck, cross.ck), SELECTOR_NTK: (full.ntk, cross.ntk)}
+               for spec, full, cross in zip(specs, fulls, crosses)}
+    for per_spec in out.values():
+        for K, _ in per_spec.values():
+            K.flags.writeable = False
+    return out
 
 
 def _method_configs(method: str, grid: HyperGrid, T: int):
@@ -399,18 +414,21 @@ def _predictions(configs, train_X, test_X, train_y, label_set, threads):
     come from one computation, serve both selectors and every C, and are
     dropped before the next family's are computed. Each fit is seeded with
     the last model of its (spec, selector): along the ascending default
-    C_set, the solution at the previous C.
+    C_set, the solution at the previous C. Those models go with their
+    family's kernels.
     """
     families = {}
     for cfg in dict.fromkeys(configs):
         spec = cfg[0]
         key = _family_key(spec.params) if isinstance(spec, RNNKernelSpec) else spec
         families.setdefault(key, []).append(cfg)
-    last_models, preds, computed = {}, {}, 0
+    preds, computed = {}, 0
     for group in families.values():
         specs = list(dict.fromkeys(spec for spec, _, _ in group))
         kernels = _family_matrices(specs, train_X, test_X, threads)
         computed += len(kernels)
+        # a spec belongs to one family, so its C path ends with the family
+        last_models = {}
         for cfg in group:
             spec, selector, C = cfg
             K, cross = kernels[spec][selector]
@@ -419,7 +437,7 @@ def _predictions(configs, train_X, test_X, train_y, label_set, threads):
             last_models[(spec, selector)] = model
             preds[cfg] = predict(model, cross)
         # free them now: rebinding would keep them alive through the next computation
-        del kernels, K, cross
+        del kernels, K, cross, last_models, model
     return preds, computed
 
 

@@ -11,11 +11,12 @@ primitive is ``vphi``, the pair of ReLU moments of a bivariate Gaussian
 All entries of a Gram matrix are independent scalar recursions. The batched
 engine runs them on square blocks of row pairs, 128 x 128 (`_BLOCK_EDGE`),
 each block writing straight into its part of the outputs, so blocks may run
-concurrently. An off-diagonal block is the outer product of two row ranges; a
-diagonal block of a symmetric Gram runs whole, as the list of its
-upper-triangle pairs, and is mirrored. A block holds 3L + 4 buffers updated
-in place (psi, vp and vpp per layer, the covariance, three vphi scratch
-arrays) plus two accumulators per readout of a pass: 3L + 6 for one kernel.
+concurrently. An off-diagonal block is the outer product of two row ranges,
+mirrored in a symmetric Gram; a diagonal block of a symmetric Gram runs
+whole, as the list of its upper-triangle pairs, each written into both
+triangles. A block holds 3L + 4 buffers updated in place (psi, vp and vpp
+per layer, the covariance, three vphi scratch arrays) plus two accumulators
+per readout of a pass: 3L + 6 for one kernel.
 Self variances are computed once per row (O(N*T*L)). Memory is the outputs,
 those trajectories and one buffer set per running block. Every shortcut the
 engine takes (skipped clamps, pin tests and zero carries) is exact, so a
@@ -294,11 +295,22 @@ def vphi(k1, k2, k3) -> tuple[float, float]:
     return moments
 
 
+def _require_real(arr: np.ndarray, name: str) -> np.ndarray:
+    """arr, unless it holds complex or bool values: refused by name.
+
+    numpy would drop an imaginary part with only a warning, and read a
+    bool as 0/1. Integer arrays are accepted.
+    """
+    if arr.dtype.kind in "cb":
+        raise ValueError(f"{name} must hold real numbers, got {arr.dtype} values")
+    return arr
+
+
 def _input_pair(x, x_prime) -> np.ndarray:
     """The inputs as the columns of one (T, 2) array, once they are
-    nonempty, finite 1-D sequences of equal length."""
-    xa = np.asarray(x, dtype=np.float64)
-    xb = np.asarray(x_prime, dtype=np.float64)
+    nonempty, finite, real 1-D sequences of equal length."""
+    xa = np.asarray(_require_real(np.asarray(x), "x"), dtype=np.float64)
+    xb = np.asarray(_require_real(np.asarray(x_prime), "x_prime"), dtype=np.float64)
     if xa.ndim != 1 or xa.shape != xb.shape:
         raise ShapeError("inputs must be 1-D sequences of equal length")
     if xa.shape[0] == 0:
@@ -431,15 +443,18 @@ def _readouts(params: HyperParams, variant: Variant, output: int) -> list[Readou
 
 
 def _block(Xa, Xb, ia, ib, passes, params: HyperParams, outputs, dst):
-    """Add the readouts of one block of (row of Xa, row of Xb) pairs to outputs[dst].
+    """Write the readouts of one block of (row of Xa, row of Xb) pairs into outputs.
 
     ia and ib turn a per-row vector into two arrays that broadcast to the
     block: a column and a row (a square block; inputs enter as outer
-    products), or the row and column indices of a list of pairs. The block
-    buffers (psi, vp, vpp per layer; covariance, vphi workspace, two
-    accumulators per readout) are allocated once. Step 0 of each pass
-    (direction) writes psi/vp/vpp without reading them, because its carries
-    are zero.
+    products), or the row and column indices of a list of pairs. Each
+    readout's block goes to out[d] for every index d in dst, where out is
+    one of its output's matrices. The first readout of an output assigns:
+    an accumulator that starts at +0.0 is never -0.0, so that equals
+    0.0 + acc. Later readouts add to it. The block buffers (psi, vp, vpp per
+    layer; covariance, vphi workspace, two accumulators per readout) are
+    allocated once. Step 0 of each pass (direction) writes psi/vp/vpp
+    without reading them, because its carries are zero.
     """
     su2, sw2, sb2 = (v**2 for v in (params.sigma_u, params.sigma_w, params.sigma_b))
     L = passes[0][1].shape[1]  # depth of the self trajectories: the deepest layer read
@@ -450,6 +465,7 @@ def _block(Xa, Xb, ia, ib, passes, params: HyperParams, outputs, dst):
             for _ in range(max(len(readouts) for *_, readouts in passes))]
     work = _workspace(shape)
     q, c, w, _ = work
+    written = set()
     for cols, saa, sbb, readouts in passes:
         for acc_ck, acc_ntk in accs[:len(readouts)]:
             acc_ck.fill(0.0)
@@ -496,10 +512,14 @@ def _block(Xa, Xb, ia, ib, passes, params: HyperParams, outputs, dst):
                     w += c
                     acc_ck += c
                     acc_ntk += w
-        for r, (acc_ck, acc_ntk) in zip(readouts, accs):
-            ck, ntk = outputs[r.output]
-            ck[dst] += acc_ck
-            ntk[dst] += acc_ntk
+        for r, pair in zip(readouts, accs):
+            first = r.output not in written
+            written.add(r.output)
+            for out, acc in zip(outputs[r.output], pair):
+                if not first:
+                    acc += out[dst[0]]
+                for d in dst:
+                    out[d] = acc
 
 
 def _resolve_threads(threads) -> int:
@@ -519,8 +539,9 @@ def _kernel_blocks(Xa, Xb, params: HyperParams, readouts, threads):
     rest. Returns one (ck, ntk) pair per output index. Only the directions
     some readout reads are run, each up to the deepest layer read, and the
     forward pass runs first. Blocks are squares of edge _BLOCK_EDGE. When
-    Xa is Xb only the upper triangle runs (a diagonal block as the list of
-    its pairs), mirrored.
+    Xa is Xb only the upper triangle runs: a diagonal block as the list of
+    its pairs, written into both triangles through flat indices, and an
+    off-diagonal block mirrored.
     """
     edge = _BLOCK_EDGE
     symmetric = Xa is Xb
@@ -536,18 +557,21 @@ def _kernel_blocks(Xa, Xb, params: HyperParams, readouts, threads):
     na, nb = len(Xa), len(Xb)
     outputs = [(np.zeros((na, nb)), np.zeros((na, nb)))
                for _ in range(1 + max(r.output for r in readouts))]
+    flat = [(ck.reshape(-1), ntk.reshape(-1)) for ck, ntk in outputs]
 
     def run_block(a: int, b: int):
         ra, rb = slice(a, min(a + edge, na)), slice(b, min(b + edge, nb))
-        dst, ia, ib = (ra, rb), (ra, None), rb
         if symmetric and a == b:
-            # a diagonal block runs the pairs of its upper triangle only
-            dst = ia, ib = tuple(i + a for i in np.triu_indices(ra.stop - a))
-        _block(Xa, Xb, ia, ib, passes, params, outputs, dst)
+            # a diagonal block runs the pairs of its upper triangle only,
+            # and writes each into both triangles
+            i, j = (k + a for k in np.triu_indices(ra.stop - a))
+            _block(Xa, Xb, i, j, passes, params, flat, (i * nb + j, j * nb + i))
+            return
+        _block(Xa, Xb, (ra, None), rb, passes, params, outputs, ((ra, rb),))
         if symmetric:
             for ck, ntk in outputs:
-                ck[dst[::-1]] = ck[dst].T
-                ntk[dst[::-1]] = ntk[dst].T
+                ck[rb, ra] = ck[ra, rb].T
+                ntk[rb, ra] = ntk[ra, rb].T
 
     blocks = [(a, b) for a in range(0, na, edge)
               for b in range(a if symmetric else 0, nb, edge)]
@@ -563,11 +587,14 @@ def _kernel_blocks(Xa, Xb, params: HyperParams, readouts, threads):
     return outputs
 
 
-def _as_matrix(data, name: str = "dataset") -> np.ndarray:
+def _as_matrix(data, name: str = "data") -> np.ndarray:
     try:
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "cb":
+            arr = arr.astype(np.float64, copy=False)
     except (ValueError, TypeError) as exc:
         raise ShapeError(f"{name} has ragged or non-numeric rows: {exc}") from exc
+    _require_real(arr, name)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be a 2-D array of shape (N, T), got ndim={arr.ndim}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:

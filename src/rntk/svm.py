@@ -4,14 +4,18 @@ Solves min 1/2 a'Qa - sum(a) over 0 <= a <= C, y'a = 0 with Q = yy' * K,
 using maximal-violating-pair working-set selection. Grams are consumed as
 dense matrices; no kernel evaluations happen here. A fit can start from a
 model trained at a smaller C on the same Gram (alpha seeding along the C
-path): its solution stays feasible because the box only grows.
+path): its solution stays feasible because the box only grows. Along such a
+path, `train_multiclass` checks and splits a read-only Gram once: the model
+carries the split, and the next C reuses it.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional
 
@@ -74,12 +78,39 @@ class ConstantVote:
 
 
 @dataclass(frozen=True)
+class _Split:
+    """What `train_multiclass` checks and derives once per Gram and labels.
+
+    gram weakly references the checked Gram if it is read-only and owns its
+    data (else None); labels and label_set are copies of the converted
+    inputs (label_set None if not given); classes is the model's label
+    tuple. pairs holds one entry per label pair: its ConstantVote, or its
+    class_pair, training-set indices and +/-1 labels.
+    """
+
+    gram: Optional[weakref.ref]
+    labels: np.ndarray
+    label_set: Optional[np.ndarray]
+    classes: tuple
+    pairs: tuple
+
+    def __getstate__(self):
+        # a weak reference does not pickle; an unpickled split is never reused
+        return {**self.__dict__, "gram": None}
+
+
+@dataclass(frozen=True)
 class MultiClassModel:
-    """One-vs-one ensemble: one binary model per unordered label pair."""
+    """One-vs-one ensemble: one binary model per unordered label pair.
+
+    _split is the checked split it was trained on, which a warm-started
+    call on the same read-only Gram reuses (see `train_multiclass`).
+    """
 
     models: tuple
     labels: tuple
     n_train: int
+    _split: Optional[_Split] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         expected = len(self.labels) * (len(self.labels) - 1) // 2
@@ -119,21 +150,25 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
     pen_up = np.where(np.where(pos, a0 < C, a0 > 0), 0.0, -np.inf)
     pen_low = np.where(np.where(pos, a0 > 0, a0 < C), 0.0, np.inf)
     F_up, F_low, t1, t2 = (np.empty(N) for _ in range(4))
+    add, multiply = np.add, np.multiply
+    argmax, argmin, up_at, low_at, K_at = F_up.argmax, F_low.argmin, F_up.item, F_low.item, K.item
+    inf = math.inf
     alpha = a0.tolist()
     ys = y.tolist()
     diag = K.diagonal().tolist()
+    rows = list(P)
     for it in range(max_iter):
-        np.add(F, pen_up, out=F_up)
-        i = int(F_up.argmax())
-        np.add(F, pen_low, out=F_low)
-        j = int(F_low.argmin())
-        m, M = F_up.item(i), F_low.item(j)
+        add(F, pen_up, F_up)
+        i = int(argmax())
+        add(F, pen_low, F_low)
+        j = int(argmin())
+        m, M = up_at(i), low_at(j)
         if m - M <= tol:
             alpha = np.array(alpha)
             return alpha, _bias(F, alpha, C, m, M), it, True
 
         # y_i y_j Q_ij = K_ij and Q_ii = K_ii exactly, since y = +/-1
-        quad = diag[i] + diag[j] - 2.0 * K.item(i, j)
+        quad = diag[i] + diag[j] - 2.0 * K_at(i, j)
         if quad <= 0.0:
             quad = _TAU
         yi, yj = ys[i], ys[j]
@@ -171,24 +206,31 @@ def _smo_loop(K, y, C, tol, max_iter, alpha0=None):
                     ai, aj = 0.0, total
         alpha[i], alpha[j] = ai, aj
         # F += P[i] * (ai - old_i) + P[j] * (aj - old_j), in this order
-        np.multiply(P[i], ai - old_i, out=t1)
-        np.multiply(P[j], aj - old_j, out=t2)
-        t1 += t2
-        F += t1
-        for k, a, yk in ((i, ai, yi), (j, aj, yj)):
-            if yk > 0:
-                pen_up[k] = 0.0 if a < C else -np.inf
-                pen_low[k] = 0.0 if a > 0.0 else np.inf
-            else:
-                pen_up[k] = 0.0 if a > 0.0 else -np.inf
-                pen_low[k] = 0.0 if a < C else np.inf
+        multiply(rows[i], ai - old_i, t1)
+        multiply(rows[j], aj - old_j, t2)
+        add(t1, t2, t1)
+        add(F, t1, F)
+        if yi > 0:
+            pen_up[i] = 0.0 if ai < C else -inf
+            pen_low[i] = 0.0 if ai > 0.0 else inf
+        else:
+            pen_up[i] = 0.0 if ai > 0.0 else -inf
+            pen_low[i] = 0.0 if ai < C else inf
+        if yj > 0:
+            pen_up[j] = 0.0 if aj < C else -inf
+            pen_low[j] = 0.0 if aj > 0.0 else inf
+        else:
+            pen_up[j] = 0.0 if aj > 0.0 else -inf
+            pen_low[j] = 0.0 if aj < C else inf
     return np.array(alpha), 0.0, max_iter, False
 
 
 def _bias(F, alpha, C, m, M):
     free = (alpha > 0.0) & (alpha < C)
-    if free.any():
-        return float(F[free].mean())
+    count = int(np.count_nonzero(free))
+    if count:
+        # sum / count is how np.mean computes it, bit for bit
+        return float(F[free].sum() / count)
     # both index sets are nonempty whenever both classes are present,
     # so m and M are finite here
     return float(0.5 * (m + M))
@@ -289,6 +331,63 @@ def _integer_labels(values, name: str) -> np.ndarray:
     raise ValueError(f"{name} must be integers, got {flat[:3].tolist()}")
 
 
+def _frozen(K: np.ndarray) -> bool:
+    """True for a read-only array that owns its data.
+
+    A writeable view taken before the array was marked read-only can still
+    write to it; split reuse trusts that no such view is kept.
+    """
+    return not K.flags.writeable and K.base is None
+
+
+def _checked_split(gram, labels, label_set):
+    """(checked Gram, its _Split): every check that `train_multiclass` runs on its inputs."""
+    K = _check_gram(gram)
+    lab = _integer_labels(labels, "labels")
+    if lab.shape != (K.shape[0],):
+        raise ShapeError("labels must be a vector matching the gram size")
+    given = None if label_set is None else _integer_labels(label_set, "label_set")
+    present, counts = np.unique(lab, return_counts=True)
+    full = present if given is None else np.unique(given)
+    stray = sorted(set(present.tolist()) - set(full.tolist()))
+    if stray:
+        raise ValueError(f"labels {stray} are not in label_set {full.tolist()}")
+    if full.size < 2:
+        raise DegenerateProblemError("need at least two classes")
+
+    # argmax takes the first of tied counts: the smallest label
+    majority = int(present[np.argmax(counts)])
+    have = set(present.tolist())
+    pairs = []
+    for a, b in combinations(full.tolist(), 2):
+        if a in have and b in have:
+            idx = np.flatnonzero((lab == a) | (lab == b))
+            pairs.append(((a, b), idx, np.where(lab[idx] == a, 1.0, -1.0)))
+        else:
+            pairs.append(ConstantVote(label=majority, class_pair=(a, b)))
+    split = _Split(gram=weakref.ref(K) if _frozen(K) else None, labels=lab.copy(),
+                   label_set=None if given is None else given.copy(),
+                   classes=tuple(int(c) for c in full), pairs=tuple(pairs))
+    return K, split
+
+
+def _reused_split(gram, labels, label_set, warm_start):
+    """warm_start's split if it holds for these inputs, else None.
+
+    It holds if it was built from this very array, which is still read-only
+    and owns its data, and the labels and label_set are equal.
+    """
+    split = None if warm_start is None else warm_start._split
+    if split is None or split.gram is None or split.gram() is not gram or not _frozen(gram):
+        return None
+    same_labels = np.array_equal(_integer_labels(labels, "labels"), split.labels)
+    if label_set is None or split.label_set is None:
+        same_set = label_set is None and split.label_set is None
+    else:
+        same_set = np.array_equal(_integer_labels(label_set, "label_set"), split.label_set)
+    return split if same_labels and same_set else None
+
+
 def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
                      max_iter: int = 10_000_000, label_set=None,
                      warm_start: Optional[MultiClassModel] = None) -> MultiClassModel:
@@ -303,39 +402,32 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
     warm_start is a model trained earlier on the same gram and labels.
     Each pair whose model there is a DualModel with C no larger than this
     C starts SMO from that model's alphas; any other pair starts at zero.
+    If warm_start was trained on this very read-only array (one that owns
+    its data) with equal labels and label_set, its checked split is reused:
+    the Gram is not scanned again. Any other call checks everything.
     """
     C, tol, max_iter = _settings(C, tol, max_iter)
-    K = _check_gram(gram)
-    lab = _integer_labels(labels, "labels")
-    if lab.shape != (K.shape[0],):
-        raise ShapeError("labels must be a vector matching the gram size")
+    split = _reused_split(gram, labels, label_set, warm_start)
+    if split is None:
+        K, split = _checked_split(gram, labels, label_set)
+    else:
+        K = gram
     seeds = {}
     if warm_start is not None:
         if warm_start.n_train != K.shape[0]:
             raise ShapeError("warm_start was trained on a gram of another size")
         seeds = {m.class_pair: m for m in warm_start.models}
-    present = np.unique(lab)
-    full = present if label_set is None else np.unique(_integer_labels(label_set, "label_set"))
-    stray = sorted(set(present.tolist()) - set(full.tolist()))
-    if stray:
-        raise ValueError(f"labels {stray} are not in label_set {full.tolist()}")
-    if full.size < 2:
-        raise DegenerateProblemError("need at least two classes")
 
-    counts = {int(c): int((lab == c).sum()) for c in present}
-    majority = max(sorted(counts), key=lambda c: counts[c])
     models = []
-    for a, b in combinations(full.tolist(), 2):
-        idx = np.flatnonzero((lab == a) | (lab == b))
-        have_a = bool((lab[idx] == a).any())
-        have_b = bool((lab[idx] == b).any())
-        if not (have_a and have_b):
+    for pair in split.pairs:
+        if isinstance(pair, ConstantVote):
             log.info("pair (%s, %s): class missing from training split, "
-                     "voting constant %s", a, b, majority)
-            models.append(ConstantVote(label=int(majority), class_pair=(a, b)))
+                     "voting constant %s", *pair.class_pair, pair.label)
+            models.append(pair)
             continue
-        sub = K[np.ix_(idx, idx)]
-        y = np.where(lab[idx] == a, 1.0, -1.0)
+        (a, b), idx, y = pair
+        # the same bits as K[np.ix_(idx, idx)], at a third of its cost
+        sub = K.take(idx, 0).take(idx, 1)
         seed = seeds.get((a, b))
         alpha0 = None
         if isinstance(seed, DualModel) and seed.C <= C:
@@ -346,9 +438,8 @@ def train_multiclass(gram, labels, C: float, tol: float = 1e-3,
             alpha0 = np.zeros(idx.size)
             alpha0[pos] = seed.alphas * y[pos]
         models.append(_fit_pair(sub, y, C, tol, max_iter, (a, b), alpha0, idx))
-    return MultiClassModel(models=tuple(models),
-                           labels=tuple(int(c) for c in full),
-                           n_train=K.shape[0])
+    return MultiClassModel(models=tuple(models), labels=split.classes,
+                           n_train=K.shape[0], _split=split)
 
 
 def _check_cross(cross) -> np.ndarray:
@@ -389,10 +480,9 @@ def predict(model: MultiClassModel, cross) -> np.ndarray:
             votes[:, col[pair_model.label]] += 1
             continue
         a, b = pair_model.class_pair
-        dec = _decision(pair_model, X)
-        wins_a = dec >= 0.0
-        votes[wins_a, col[a]] += 1
-        votes[~wins_a, col[b]] += 1
+        wins_a = _decision(pair_model, X) >= 0.0
+        votes[:, col[a]] += wins_a
+        votes[:, col[b]] += ~wins_a
     # labels are sorted ascending, so argmax resolves ties to the smallest
     winners = np.argmax(votes, axis=1)
     return np.asarray(labels, dtype=np.int64)[winners]

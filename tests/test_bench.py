@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rntk import Arch, HyperParams, InputOrder, ShapeError, Variant, bench
+from rntk import Arch, HyperParams, InputOrder, ShapeError, Variant, bench, svm
 from rntk.bench import (
     BenchReport,
     Dataset,
@@ -83,6 +83,12 @@ def test_load_dataset_errors(tmp_path):
         load_dataset(write_csv(tmp_path, "flab.csv", "1.0,2.0,0.5\n"))
     with pytest.raises(DatasetFormatError, match="row 1"):
         load_dataset(write_csv(tmp_path, "thin.csv", "7\n8\n"))
+    # a file that is not UTF-8 raised a bare UnicodeDecodeError
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("1.0,2.0,0\n\u00e9,1\n".encode("latin-1"))
+    with pytest.raises(DatasetFormatError, match="not UTF-8") as exc:
+        load_dataset(latin)
+    assert str(latin) in str(exc.value)
 
 
 def test_load_splits_rejects_bad_sidecars(tmp_path):
@@ -292,6 +298,17 @@ def test_grid_rejects_bad_values():
             with pytest.raises(ValueError, match=f"HyperGrid.{name} "):
                 HyperGrid(**{name: value})
     HyperGrid(sigma_b_set=(0.0, 0.1), C_set=(1, 2.5), L_set=(3,))
+    # a scalar raised a bare TypeError (no len()), and a string was split
+    # into its characters
+    for name in ("sigma_u_set", "sigma_b_set", "L_set", "C_set", "rbf_gamma_scaled",
+                 "poly_degrees", "methods"):
+        for value in (1.0, 2, "rbf", np.float64(1.0), np.array([[1.0]]), None):
+            with pytest.raises(ValueError,
+                               match=f"HyperGrid.{name} must be a tuple, list or 1-D array"):
+                HyperGrid(**{name: value})
+    # tuples, lists and 1-D arrays are search sets
+    grid = HyperGrid(C_set=[1.0, 10.0], L_set=np.array([1, 2]), methods=["rbf"])
+    assert (grid.C_set, grid.L_set, grid.methods) == ((1.0, 10.0), (1, 2), ("rbf",))
 
 
 def test_grid_takes_numpy_values_as_python_numbers():
@@ -409,6 +426,31 @@ def test_predictions_hold_one_family_of_matrices_at_a_time(monkeypatch):
     assert computed_specs == [family[0], family[1], [rbf[0]], [rbf[1]]]
     assert computed == 10 and set(preds) == set(configs)
     assert all(ref() is None for ref in alive)
+
+
+def test_predictions_check_each_train_gram_once(monkeypatch):
+    # the train Grams are read-only, so every C path of a (spec, selector)
+    # checks its Gram once and reuses the split at each later C
+    ds = make_dataset(5)
+    grid = HyperGrid(sigma_u_set=(0.5,), sigma_b_set=(0.1,), L_set=(1, 2),
+                     C_set=(0.01, 1.0, 100.0), rbf_gamma_scaled=(1.0,), poly_degrees=(2,),
+                     methods=("rnn", "bi-rnn", "rbf", "poly"))
+    configs = [cfg for m in grid.methods for cfg in _method_configs(m, grid, ds.T)]
+    checked, trained = [], []
+    inner_check, inner_train = svm._check_gram, bench.train_multiclass
+
+    def spy_train(gram, labels, C, **kwargs):
+        trained.append((gram.flags.writeable, gram.base is None))
+        return inner_train(gram, labels, C, **kwargs)
+
+    monkeypatch.setattr(svm, "_check_gram", lambda g: checked.append(g.shape) or inner_check(g))
+    monkeypatch.setattr(bench, "train_multiclass", spy_train)
+    _predictions(configs, ds.features[:8], ds.features[8:], ds.labels[:8], np.arange(2),
+                 threads=1)
+    paths = dict.fromkeys((spec, sel) for spec, sel, _ in configs)
+    assert len(paths) == 10 and len(trained) == 30
+    assert trained == [(False, True)] * 30
+    assert checked == [(8, 8)] * len(paths)
 
 
 def test_baseline_kernels_match_their_definitions():

@@ -228,6 +228,19 @@ def test_shape_errors():
         gram_cross(np.ones((3, 4)), np.ones((2, 5)), HP)
     with pytest.raises(ValueError):
         gram(np.array([[1.0, float("nan")]]), HP)
+    # a complex matrix lost its imaginary part, with numpy's warning as the
+    # only sign, and a bool one was read as 0/1
+    ones = np.ones((3, 2))
+    for bad in (ones + 1j, ones > 0, [[1.0, 2j], [3.0, 4.0]]):
+        with pytest.raises(ValueError, match="data must hold real numbers"):
+            gram(bad, HP)
+        with pytest.raises(ValueError, match="train must hold real numbers"):
+            gram_cross(bad, ones[:2], HP)
+        with pytest.raises(ValueError, match="test must hold real numbers"):
+            gram_cross(ones, bad, HP)
+    # integer matrices stay accepted
+    X = np.arange(6).reshape(3, 2)
+    assert np.array_equal(gram(X, HP).ck, gram(X.astype(float), HP).ck)
 
 
 def test_block_edge_is_not_a_setting():
@@ -356,6 +369,25 @@ def test_default_edge_blocks_match_pair_engine_bit_for_bit():
         assert np.array_equal(gp.ntk, ref.ntk), variant
         assert np.array_equal(cross.ck, ref_cross.ck), variant
         assert np.array_equal(cross.ntk, ref_cross.ntk), variant
+
+
+def test_small_gram_with_two_readouts_per_output_matches_pair_engine():
+    # one diagonal block at the default edge, written into both triangles
+    # through flat indices; the bidirectional members add their reversed
+    # pass onto the forward one, and the plain member is read off it
+    rng = np.random.default_rng(37)
+    X = rng.standard_normal((75, 6))
+    X[10] = X[3]
+    X[20] = 0.0
+    assert len(X) <= kernels._BLOCK_EDGE
+    hp = HyperParams(sigma_u=0.5, sigma_b=0.0, sigma_v=0.7, depth_L=2)
+    members = [(hp, Variant(Arch.BI_RNN)), (hp, Variant(Arch.RNN)),
+               (HyperParams(sigma_u=0.5, sigma_b=0.0, sigma_v=0.3, depth_L=1),
+                Variant(Arch.BI_RNN_AVG))]
+    for gp, (params, variant) in zip(gram_family(X, members, threads=1), members):
+        ref = reference_gram(X, params, variant)
+        assert np.array_equal(gp.ck, ref.ck), variant
+        assert np.array_equal(gp.ntk, ref.ntk), variant
 
 
 def test_family_matches_gram_bit_for_bit(monkeypatch):

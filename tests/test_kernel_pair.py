@@ -131,6 +131,14 @@ def test_shape_errors():
         kernel_pair([[1.0]], [[1.0]], hp)
     with pytest.raises(ValueError):
         kernel_pair([float("nan")], [1.0], hp)
+    # a complex input lost its imaginary part and a bool one read as 0/1
+    for bad in ([1.0, 2j], np.array([1.0, 2.0]) + 0j, [True, False]):
+        with pytest.raises(ValueError, match="x must hold real numbers"):
+            kernel_pair(bad, [1.0, 2.0], hp)
+        with pytest.raises(ValueError, match="x_prime must hold real numbers"):
+            kernel_pair([1.0, 2.0], bad, hp)
+    # integer sequences stay accepted
+    assert kernel_pair([1, 2], [3, -1], hp) == kernel_pair([1.0, 2.0], [3.0, -1.0], hp)
 
 
 def test_hyperparams_validation():

@@ -262,6 +262,12 @@ def test_oracle_names_non_finite_inputs():
             empirical_cross_head(ones, bad, HP, width=10, trials=2, head_a=0, head_b=1)
         with pytest.raises(ValueError, match="inputs must be finite"):
             analytic_suite(bad, ones, HP)
+    # a complex input lost its imaginary part and a bool one read as 0/1
+    for bad in ([1.0, 1j], [True, True]):
+        with pytest.raises(ValueError, match="x must hold real numbers"):
+            empirical_suite(bad, ones, HP, width=10, trials=2)
+        with pytest.raises(ValueError, match="x_prime must hold real numbers"):
+            empirical_suite(ones, bad, HP, width=10, trials=2)
 
 
 def test_oracle_refuses_overflowing_inputs():

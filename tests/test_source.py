@@ -39,3 +39,13 @@ def test_empirical_suite_is_the_one_working_set_builder():
                 for n in ast.walk(f)
                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_WorkingSet"}
     assert builders == {"empirical_suite"}
+
+
+def test_the_split_builder_and_smo_train_are_the_gram_checkers():
+    # a C path reuses its split only if every other route checks its Gram
+    callers = {f.name for path in sorted(SRC.glob("*.py"))
+               for f in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(f, ast.FunctionDef)
+               for n in ast.walk(f)
+               if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_check_gram"}
+    assert callers == {"_checked_split", "smo_train"}

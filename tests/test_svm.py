@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -516,3 +517,98 @@ def test_warm_start_from_another_problem_rejected():
                                  labels=model3.labels, n_train=12)
         with pytest.raises(ValueError, match="outside the pair"):
             train_multiclass(gram, labels3, C=2.0, warm_start=forged)
+
+
+def read_only_problem(seed=81):
+    """A three-class Gram marked read-only, as the protocol hands them out."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((30, 3))
+    labels = np.repeat([0, 1, 2], 10)
+    X += labels[:, None] * 0.8
+    gram = rbf_gram(X)
+    gram.flags.writeable = False
+    return gram, labels
+
+
+def count_gram_checks(monkeypatch):
+    checked = []
+    inner = svm._check_gram
+    monkeypatch.setattr(svm, "_check_gram", lambda g: checked.append(g.shape) or inner(g))
+    return checked
+
+
+def assert_same_models(a, b):
+    """a and b hold the same pair models, bit for bit."""
+    assert (a.labels, a.n_train, len(a.models)) == (b.labels, b.n_train, len(b.models))
+    for x, y in zip(a.models, b.models):
+        assert type(x) is type(y) and x.class_pair == y.class_pair
+        if isinstance(x, ConstantVote):
+            assert x == y
+        else:
+            assert np.array_equal(x.support_indices, y.support_indices)
+            assert np.array_equal(x.alphas, y.alphas)
+            assert x.bias == y.bias and x.C == y.C
+
+
+def test_c_path_on_a_read_only_gram_checks_it_once(monkeypatch):
+    gram, labels = read_only_problem()
+    checked = count_gram_checks(monkeypatch)
+    Cs, path, model = (0.1, 1.0, 10.0, 100.0), [], None
+    # label 3 is absent, so one pair of every model is a constant vote
+    for C in Cs:
+        model = train_multiclass(gram, labels, C=C, label_set=[0, 1, 2, 3], warm_start=model)
+        path.append(model)
+    assert checked == [(30, 30)]
+    # each model equals a call that runs every check (on a writeable copy)
+    # from the same start
+    for k, C in enumerate(Cs):
+        fresh = train_multiclass(gram.copy(), labels, C=C, label_set=[0, 1, 2, 3],
+                                 warm_start=path[k - 1] if k else None)
+        assert_same_models(path[k], fresh)
+    assert len(checked) == 1 + len(Cs)
+    # the split is private state: it takes no part in equality or repr
+    assert path[0] == MultiClassModel(models=path[0].models, labels=path[0].labels, n_train=30)
+    assert "_split" not in repr(path[0])
+
+
+def test_split_reuse_falls_back_to_every_check(monkeypatch):
+    gram, labels = read_only_problem()
+    first = train_multiclass(gram, labels, C=1.0, label_set=[0, 1, 2])
+    swapped = labels.copy()
+    swapped[[0, 10]] = swapped[[10, 0]]
+    other = gram.copy()
+    other.flags.writeable = False
+    writeable = gram.copy()
+    from_writeable = train_multiclass(writeable, labels, C=1.0, label_set=[0, 1, 2])
+    forged = MultiClassModel(models=first.models, labels=first.labels, n_train=30)
+    # a weak reference does not pickle: the model does, without it
+    unpickled = pickle.loads(pickle.dumps(first))
+    # C = 0.5 is below the seeds' C, so every call below starts cold
+    cases = {
+        "writeable gram": (writeable, labels, [0, 1, 2], from_writeable),
+        "equal copy": (other, labels, [0, 1, 2], first),
+        "other labels": (gram, swapped, [0, 1, 2], first),
+        "other label_set": (gram, labels, [0, 1, 2, 3], first),
+        "no label_set": (gram, labels, None, first),
+        "forged model": (gram, labels, [0, 1, 2], forged),
+        "unpickled model": (gram, labels, [0, 1, 2], unpickled),
+    }
+    checked = count_gram_checks(monkeypatch)
+    reused = train_multiclass(gram, labels, C=0.5, label_set=[0, 1, 2], warm_start=first)
+    assert checked == []
+    assert_same_models(reused, train_multiclass(gram, labels, C=0.5, label_set=[0, 1, 2]))
+    for case, (K, y, label_set, warm) in cases.items():
+        del checked[:]
+        model = train_multiclass(K, y, C=0.5, label_set=label_set, warm_start=warm)
+        assert checked == [(30, 30)], case
+        assert_same_models(model, train_multiclass(K.copy(), y, C=0.5, label_set=label_set))
+    # a Gram made writeable again, or labels changed in place, are checked again
+    gram.flags.writeable = True
+    del checked[:]
+    train_multiclass(gram, labels, C=0.5, label_set=[0, 1, 2], warm_start=first)
+    assert checked == [(30, 30)]
+    gram.flags.writeable = False
+    labels[[0, 10]] = labels[[10, 0]]
+    del checked[:]
+    train_multiclass(gram, labels, C=0.5, label_set=[0, 1, 2], warm_start=first)
+    assert checked == [(30, 30)]
